@@ -11,7 +11,7 @@ Commands
                 phase schedule x mechanism set, see docs/scenarios.md)
 ``report``      one-page design report (thermal map, lifetimes, budget)
 ``batch``       sweep benchmarks x temperatures x methods into one report
-``bench``       performance benchmarks (``kernels``: fast paths vs reference)
+``bench``       performance benchmarks (``kernels``: kernels vs their reference oracles)
 ``cache``       result-cache maintenance (``stats``/``clear``)
 ``serve``       HTTP reliability service (async job queue, see docs/service.md)
 ``fleet``       distributed runs over ``serve`` workers (``run``/``status``,
@@ -47,8 +47,6 @@ from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
 from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
 from repro.errors import ReproError
 from repro.exec.backends import resolve_backend
-from repro.kernels.bench import DEFAULT_BENCH_PATH
-from repro.kernels.config import PRECISIONS, set_precision
 from repro.units import hours_to_years
 
 
@@ -380,8 +378,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # Imported here: the benchmark harness pulls in the full stack.
+    # Imported here: the benchmark harness and its reference oracles stay
+    # off every other command's import path.
     from repro.kernels.bench import (
+        DEFAULT_BENCH_PATH,
         format_kernel_report,
         run_kernel_benchmarks,
         write_bench_json,
@@ -390,7 +390,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     results = run_kernel_benchmarks(args.scale)
     text = format_kernel_report(results)
     if not args.no_save:
-        path = write_bench_json(results, args.output)
+        path = write_bench_json(results, args.output or DEFAULT_BENCH_PATH)
         text += f"\nwrote {path}"
     _emit(args, results, text)
     return 0
@@ -619,15 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-    parser.add_argument(
-        "--precision",
-        choices=PRECISIONS,
-        default=None,
-        help="numerical precision tier for the batched kernels: float64 "
-        "(default, bit-exact reference) or fast32 (float32 compute, "
-        "float64 results; see docs/performance.md for accuracy bounds). "
-        "Overrides REPRO_PRECISION.",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="design and thermal summary")
@@ -761,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p_kernels = bench_sub.add_parser(
         "kernels",
-        help="time the repro.kernels fast paths against the reference "
-        "implementations",
+        help="time the production kernels against their "
+        "repro.kernels.reference oracles",
     )
     p_kernels.add_argument(
         "--scale",
@@ -773,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kernels.add_argument(
         "--output",
         metavar="FILE",
-        default=DEFAULT_BENCH_PATH,
-        help=f"benchmark report destination (default {DEFAULT_BENCH_PATH})",
+        default=None,
+        help="benchmark report destination (default BENCH_kernels.json)",
     )
     p_kernels.add_argument(
         "--no-save",
@@ -1009,8 +1000,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision is not None:
-        set_precision(args.precision)
     log_level = getattr(args, "log_level", None)
     log_json = getattr(args, "log_json", False)
     if log_level is not None or log_json:

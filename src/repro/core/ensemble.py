@@ -36,7 +36,6 @@ from repro.exec.sharding import (
     plan_shards,
     resolve_seed_sequence,
 )
-from repro.kernels.config import fast_paths_enabled
 from repro.kernels.survival import (
     batched_rule_expectations,
     batched_sample_expectations,
@@ -106,10 +105,10 @@ class _EnsembleAnalyzerBase:
         raise NotImplementedError
 
     def _batched_expectations(self, times: np.ndarray) -> np.ndarray | None:
-        """``(n_blocks, n_times)`` fused fast-path expectations, if any.
+        """``(n_blocks, n_times)`` fused-kernel expectations, if any.
 
         Subclasses return ``None`` when no batched kernel applies (then
-        the per-block reference loop below runs instead).
+        :meth:`block_failure_probabilities` loops the blocks instead).
         """
         return None
 
@@ -144,10 +143,9 @@ class _EnsembleAnalyzerBase:
     def block_failure_probabilities(self, times: np.ndarray | float) -> np.ndarray:
         """``(n_blocks, n_times)`` ensemble block failure probabilities."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        if fast_paths_enabled():
-            expectations = self._batched_expectations(times)
-            if expectations is not None:
-                return 1.0 - expectations
+        expectations = self._batched_expectations(times)
+        if expectations is not None:
+            return 1.0 - expectations
         out = np.empty((len(self.blocks), times.size))
         for j in range(len(self.blocks)):
             out[j] = 1.0 - self.block_expectation(j, times)
@@ -282,12 +280,10 @@ def sweep_reliabilities(
 
     Returns one clipped reliability array per analyzer — bitwise identical
     to ``analyzer.reliability(times)`` — or ``None`` when fusion does not
-    apply (fast paths off, mismatched rule tables, or the fused kernel
-    declines the shape); callers must then fall back to per-analyzer calls.
+    apply (mismatched rule tables, or the fused kernel declines the
+    shape); callers must then fall back to per-analyzer calls.
     """
     if not analyzers or len(analyzers) != len(times_list):
-        return None
-    if not fast_paths_enabled():
         return None
     base = analyzers[0]
     for analyzer in analyzers[1:]:
@@ -538,8 +534,8 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
         """Fused sample-average estimator over all blocks at once.
 
         Only the ``"samples"`` estimator batches; the histogram estimator
-        keeps the per-block reference loop (its cost is dominated by the
-        2-D histogram builds, not the survival evaluation).
+        keeps the per-block loop (its cost is dominated by the 2-D
+        histogram builds, not the survival evaluation).
         """
         if self.estimator != "samples":
             return None

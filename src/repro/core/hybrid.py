@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.closed_form import _EXP_MAX, _EXP_MIN
 from repro.core.ensemble import BlockReliability
 from repro.errors import ConfigurationError
 from repro.kernels.artifacts import memoize_artifact
-from repro.kernels.config import fast_paths_enabled, precision
 from repro.kernels.survival import batched_rule_expectations, pad_rule_tables
 from repro.obs import metrics
 from repro.obs.trace import is_enabled, span
@@ -85,91 +83,47 @@ class HybridAnalyzer:
             n_alpha=n_alpha,
             n_b=n_b,
         ):
-            if fast_paths_enabled():
-                # The batched build is memoized across processes: the
-                # tables depend only on the blocks' BLODs, the index
-                # axes, the rule knobs and the precision tier — all of
-                # which the payload captures exactly.
-                arrays = memoize_artifact(
-                    "hybrid_tables",
-                    {
-                        "u_nominal": [b.blod.u_nominal for b in self.blocks],
-                        "u_sensitivities": [
-                            b.blod.u_sensitivities for b in self.blocks
-                        ],
-                        "v_matrix": [b.blod.v_matrix for b in self.blocks],
-                        "v_deterministic": [
-                            b.blod.v_deterministic for b in self.blocks
-                        ],
-                        "sigma_independent": [
-                            b.blod.sigma_independent for b in self.blocks
-                        ],
-                        "n_devices": [b.blod.n_devices for b in self.blocks],
-                        "areas": [b.blod.area for b in self.blocks],
-                        "log_t_axis": self.log_t_axis,
-                        "b_axis": self.b_axis,
-                        "l0": l0,
-                        "tail": tail,
-                        "include_residual_fluctuation": (
-                            include_residual_fluctuation
-                        ),
-                        "precision": precision(),
-                    },
-                    lambda: {
-                        "tables": self._build_tables_batched(
-                            l0, tail, include_residual_fluctuation
-                        )
-                    },
-                    required=("tables",),
-                )
-                tables = np.asarray(arrays["tables"])
-                if tables.shape != self.tables.shape:
-                    tables = self._build_tables_batched(
+            # The batched build is memoized across processes: the tables
+            # depend only on the blocks' BLODs, the index axes and the rule
+            # knobs — all of which the payload captures exactly.
+            arrays = memoize_artifact(
+                "hybrid_tables",
+                {
+                    "u_nominal": [b.blod.u_nominal for b in self.blocks],
+                    "u_sensitivities": [
+                        b.blod.u_sensitivities for b in self.blocks
+                    ],
+                    "v_matrix": [b.blod.v_matrix for b in self.blocks],
+                    "v_deterministic": [
+                        b.blod.v_deterministic for b in self.blocks
+                    ],
+                    "sigma_independent": [
+                        b.blod.sigma_independent for b in self.blocks
+                    ],
+                    "n_devices": [b.blod.n_devices for b in self.blocks],
+                    "areas": [b.blod.area for b in self.blocks],
+                    "log_t_axis": self.log_t_axis,
+                    "b_axis": self.b_axis,
+                    "l0": l0,
+                    "tail": tail,
+                    "include_residual_fluctuation": (
+                        include_residual_fluctuation
+                    ),
+                },
+                lambda: {
+                    "tables": self._build_tables_batched(
                         l0, tail, include_residual_fluctuation
                     )
-                self.tables[:] = tables
-            else:
-                for j, block in enumerate(blocks):
-                    self.tables[j] = self._build_block_table(
-                        block, l0, tail, include_residual_fluctuation
-                    )
+                },
+                required=("tables",),
+            )
+            tables = np.asarray(arrays["tables"])
+            if tables.shape != self.tables.shape:
+                tables = self._build_tables_batched(
+                    l0, tail, include_residual_fluctuation
+                )
+            self.tables[:] = tables
             metrics.inc("hybrid.table_entries", len(blocks) * n_alpha * n_b)
-
-    def _build_block_table(
-        self,
-        block: BlockReliability,
-        l0: int,
-        tail: float,
-        include_residual_fluctuation: bool,
-    ) -> np.ndarray:
-        """Tabulate ``E[exp(-A_j g)]`` over the (ln(t/alpha), b) axes.
-
-        The table stores the *log* of the block failure probability:
-        failure varies as ``exp(beta_chip * ln(t/alpha))`` across the axis,
-        so bilinear interpolation in log space is near-exact while raw
-        bilinear interpolation would overestimate by the chord-vs-curve gap
-        of an exponential (~10-20 % at 100x100 resolution).
-        """
-        u_rule = midpoint_rule(block.blod.u_dist(), n_points=l0, tail=tail)
-        v_rule = midpoint_rule(
-            block.blod.v_chi2_match(include_residual_fluctuation),
-            n_points=l0,
-            tail=tail,
-        )
-        scaled = self.log_t_axis[:, None, None, None] * self.b_axis[None, :, None, None]
-        log_g = (
-            scaled * u_rule.points[None, None, :, None]
-            + 0.5 * scaled**2 * v_rule.points[None, None, None, :]
-        )
-        exponent = np.clip(
-            np.log(block.blod.area) + log_g, _EXP_MIN, _EXP_MAX
-        )
-        survival = np.exp(-np.exp(exponent))
-        expectation = np.einsum(
-            "abpq,p,q->ab", survival, u_rule.weights, v_rule.weights
-        )
-        failure = np.clip(1.0 - expectation, 1e-300, None)
-        return np.log(failure)
 
     def _build_tables_batched(
         self,
@@ -185,6 +139,12 @@ class HybridAnalyzer:
         fused kernel of :func:`repro.kernels.survival
         .batched_rule_expectations` over the flattened ``(A * B,)`` index
         grid with padded per-block node tables.
+
+        The tables store the *log* of the block failure probability:
+        failure varies as ``exp(beta_chip * ln(t/alpha))`` across the axis,
+        so bilinear interpolation in log space is near-exact while raw
+        bilinear interpolation would overestimate by the chord-vs-curve gap
+        of an exponential (~10-20 % at 100x100 resolution).
         """
         u_rules = []
         v_rules = []
@@ -217,70 +177,16 @@ class HybridAnalyzer:
         failure = np.clip(1.0 - expectation, 1e-300, None)
         return np.log(failure).reshape(self.tables.shape)
 
-    def _interpolate(
-        self, table: np.ndarray, log_t_ratio: np.ndarray, b: float
-    ) -> np.ndarray:
-        """Bilinear interpolation of one block's log-failure table.
-
-        ``log_t_ratio`` below the left edge clamps to failure 0 (times far
-        below any tabulated point have negligible failure); values above
-        the right edge or ``b`` outside its axis raise, because that means
-        the table was built for a different operating envelope.
-        """
-        if not self.b_axis[0] <= b <= self.b_axis[-1]:
-            raise ConfigurationError(
-                f"b = {b} outside the table range "
-                f"[{self.b_axis[0]:.3f}, {self.b_axis[-1]:.3f}]"
-            )
-        finite = np.isfinite(log_t_ratio)
-        clamped_low = log_t_ratio <= self.log_t_axis[0]
-        if np.any(log_t_ratio[finite] > self.log_t_axis[-1]):
-            raise ConfigurationError(
-                "query time beyond the table's ln(t/alpha) range; rebuild "
-                "the table with a wider log_t_ratio_range"
-            )
-        x = np.clip(log_t_ratio, self.log_t_axis[0], self.log_t_axis[-1])
-        x = np.where(finite, x, self.log_t_axis[0])
-
-        ix = np.clip(
-            np.searchsorted(self.log_t_axis, x) - 1, 0, len(self.log_t_axis) - 2
-        )
-        tx = (x - self.log_t_axis[ix]) / (
-            self.log_t_axis[ix + 1] - self.log_t_axis[ix]
-        )
-        iy = int(
-            np.clip(np.searchsorted(self.b_axis, b) - 1, 0, len(self.b_axis) - 2)
-        )
-        ty = (b - self.b_axis[iy]) / (self.b_axis[iy + 1] - self.b_axis[iy])
-
-        f00 = table[ix, iy]
-        f10 = table[ix + 1, iy]
-        f01 = table[ix, iy + 1]
-        f11 = table[ix + 1, iy + 1]
-        log_value = (
-            f00 * (1.0 - tx) * (1.0 - ty)
-            + f10 * tx * (1.0 - ty)
-            + f01 * (1.0 - tx) * ty
-            + f11 * tx * ty
-        )
-        missed = clamped_low | ~finite
-        if is_enabled():
-            # "hits" interpolate from the table; "misses" fall outside it
-            # (clamped below the left edge, negligible-failure region).
-            n_miss = int(np.count_nonzero(missed))
-            metrics.inc("hybrid.lut_hits", int(np.size(missed)) - n_miss)
-            metrics.inc("hybrid.lut_misses", n_miss)
-        return np.where(missed, 0.0, np.exp(log_value))
-
     def _interpolate_batched(
         self, log_t_ratios: np.ndarray, bs: np.ndarray
     ) -> np.ndarray:
-        """All blocks' bilinear look-ups in one pass.
+        """All blocks' bilinear log-failure-table look-ups in one pass.
 
-        Same range semantics as :meth:`_interpolate` — ``b`` outside its
-        axis or a finite ``ln(t/alpha)`` beyond the right edge raises,
-        values below the left edge clamp to failure 0 — applied across the
-        whole ``(block, time)`` query matrix at once.
+        A ``b`` outside its axis or a finite ``ln(t/alpha)`` beyond the
+        right edge raises, because that means the tables were built for a
+        different operating envelope; values below the left edge clamp to
+        failure 0 (times far below any tabulated point have negligible
+        failure).
         """
         outside = (bs < self.b_axis[0]) | (bs > self.b_axis[-1])
         if np.any(outside):
@@ -355,22 +261,13 @@ class HybridAnalyzer:
             bs = np.asarray(bs, dtype=float)
         if alphas.shape != (len(self.blocks),) or bs.shape != (len(self.blocks),):
             raise ConfigurationError("need one (alpha, b) pair per block")
-        if fast_paths_enabled():
-            with np.errstate(divide="ignore"):
-                log_t_ratios = np.where(
-                    times[None, :] > 0.0,
-                    np.log(times[None, :] / alphas[:, None]),
-                    -np.inf,
-                )
-            return self._interpolate_batched(log_t_ratios, bs)
-        out = np.empty((len(self.blocks), times.size))
         with np.errstate(divide="ignore"):
-            for j in range(len(self.blocks)):
-                log_t_ratio = np.where(
-                    times > 0.0, np.log(times / alphas[j]), -np.inf
-                )
-                out[j] = self._interpolate(self.tables[j], log_t_ratio, float(bs[j]))
-        return out
+            log_t_ratios = np.where(
+                times[None, :] > 0.0,
+                np.log(times[None, :] / alphas[:, None]),
+                -np.inf,
+            )
+        return self._interpolate_batched(log_t_ratios, bs)
 
     def reliability(
         self,

@@ -963,131 +963,6 @@ class NetworkTimeoutDiscipline(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RPL013 — dtype hygiene in the kernels package
-# ---------------------------------------------------------------------------
-
-
-@register
-class KernelDtypeHygiene(Rule):
-    """Kernel-layer array allocations must pin their dtype explicitly.
-
-    ``repro.kernels`` owns the precision tier (``float64``/``fast32``,
-    see :mod:`repro.kernels.config`): every array a kernel allocates is
-    either part of the float64 result contract or deliberately cast to
-    the compute dtype.  A bare ``np.empty(shape)`` silently allocates
-    float64 and hides that decision — under ``fast32`` it re-widens
-    intermediates and costs the memory-traffic win; under ``float64`` it
-    works by accident.  Constructors must pass ``dtype=`` (or the
-    positional equivalent), and ``.astype`` must name a width-explicit
-    numpy dtype — builtin ``float``/``int`` or dtype *strings* pin
-    whatever the platform default is, invisibly to the tier switch.
-    """
-
-    rule_id = "RPL013"
-    name = "kernel-dtype-hygiene"
-    summary = (
-        "repro.kernels array constructors (np.empty/zeros/ones/full/"
-        "arange/linspace) must pass an explicit dtype, and .astype must "
-        "use a numpy dtype, not a builtin or string"
-    )
-
-    #: Canonical dotted origin -> minimum positional-argument count that
-    #: already covers the dtype parameter.
-    _DTYPE_POSITION = {
-        "numpy.empty": 2,
-        "numpy.zeros": 2,
-        "numpy.ones": 2,
-        "numpy.full": 3,
-        "numpy.arange": 4,
-        "numpy.linspace": 6,
-    }
-
-    #: Builtin type names whose width is a platform default, not a choice.
-    _BUILTIN_DTYPES = frozenset({"float", "int", "bool", "complex"})
-
-    def _from_imports(self, ctx: LintContext) -> dict[str, str]:
-        """Local name -> canonical origin, alias-aware.
-
-        Covers ``from numpy import zeros [as z]`` and module aliases
-        like ``import numpy as np``.
-        """
-        mapping: dict[str, str] = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.module is not None:
-                for alias in node.names:
-                    origin = f"{node.module}.{alias.name}"
-                    if origin in self._DTYPE_POSITION:
-                        mapping[alias.asname or alias.name] = origin
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname is not None:
-                        mapping[alias.asname] = alias.name
-        return mapping
-
-    def _call_origin(self, ctx: LintContext, func: ast.AST) -> str | None:
-        """The canonical dotted origin of a call target, or ``None``."""
-        parts: list[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            mapping = self._from_imports(ctx)
-            parts.append(mapping.get(node.id, node.id))
-            dotted = ".".join(reversed(parts))
-            if dotted in self._DTYPE_POSITION:
-                return dotted
-        return None
-
-    def _bad_astype_arg(self, node: ast.Call) -> ast.AST | None:
-        """The offending dtype argument of an ``.astype`` call, if any."""
-        arg: ast.AST | None = None
-        if node.args:
-            arg = node.args[0]
-        for kw in node.keywords:
-            if kw.arg == "dtype":
-                arg = kw.value
-        if isinstance(arg, ast.Name) and arg.id in self._BUILTIN_DTYPES:
-            return arg
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg
-        return None
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.is_test or not ctx.in_kernels:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            origin = self._call_origin(ctx, node.func)
-            if origin is not None:
-                if any(kw.arg == "dtype" for kw in node.keywords):
-                    continue
-                if len(node.args) >= self._DTYPE_POSITION[origin]:
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{origin}() without an explicit dtype allocates the "
-                    "platform default behind the precision tier's back; "
-                    "pass dtype=",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "astype"
-                and self._bad_astype_arg(node) is not None
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    ".astype with a builtin type or dtype string pins a "
-                    "platform-default width invisibly to the precision "
-                    "tier; use an explicit numpy dtype (np.float64, "
-                    "np.float32, ...)",
-                )
-
-
-# ---------------------------------------------------------------------------
 # RPL014 — mechanism stress parameters must declare their units
 # ---------------------------------------------------------------------------
 

@@ -25,7 +25,6 @@ from repro.core.lifetime import ppm_to_reliability, solve_lifetime
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend
 from repro.exec.cache import ResultCache, fingerprint
-from repro.kernels.config import fast_paths_enabled, precision
 from repro.obs import metrics
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
@@ -178,7 +177,6 @@ def _cell_key(spec: SweepSpec, cell: dict[str, Any]) -> str:
         "grid_size": spec.grid_size,
         "mc_chips": spec.mc_chips,
         "seed": spec.seed,
-        "precision": precision(),
     }
     if spec.scenario is not None:
         # Folded only when present, so steady-sweep fingerprints (and the
@@ -351,7 +349,6 @@ def run_batch(
                 and spec.scenario is None
                 and cell["method"] in _FUSABLE_METHODS
                 and len(spec.temperatures_c) > 1
-                and fast_paths_enabled()
                 and group not in fused_attempted
             ):
                 fused_attempted.add(group)
@@ -426,7 +423,6 @@ def run_batch(
             "cache": use_cache,
             "fuse": fuse,
             "fused_cells": fused_cells,
-            "precision": precision(),
         },
         "cells": [r.as_dict() for r in results],
         "totals": {

@@ -1,13 +1,12 @@
-"""Numerical kernel fast paths.
+"""Numerical kernels of the analysis pipeline.
 
-The hot inner kernels of the analysis pipeline — the sparse thermal
-solve inside the power-thermal fixed point, the per-block survival
-quadrature of the ensemble analyzers, and the Imhof reference inversion
-— each have an optimised implementation guarded by a process-wide
-switch (see :mod:`repro.kernels.config`):
+The hot inner kernels — the sparse thermal solve inside the
+power-thermal fixed point, the per-block survival quadrature of the
+ensemble analyzers, and the Imhof inversion — each have one vectorised
+production implementation:
 
 ========================  =============================================
-fast path                 lives in
+kernel                    lives in
 ========================  =============================================
 conductance assembly      ``repro.thermal.solver`` (numpy index math)
 factorization cache       ``repro.thermal.factor_cache``
@@ -15,9 +14,10 @@ batched block survival    ``repro.kernels.survival``
 vectorised Imhof          ``repro.stats.quadform.QuadraticForm.imhof_sf``
 ========================  =============================================
 
-Every fast path is covered by an equivalence test against the reference
-implementation it replaces, and ``repro bench kernels`` (or
-``benchmarks/test_kernels.py``) times both sides.  See
+Their loop-per-element oracles live in :mod:`repro.kernels.reference`,
+which only the tests and the benchmarks import.  Every kernel is covered
+by an equivalence test against its oracle, and ``repro bench kernels``
+(or ``benchmarks/test_kernels.py``) times both.  See
 ``docs/performance.md``.
 """
 
@@ -30,15 +30,6 @@ from repro.kernels.artifacts import (
     set_artifacts_enabled,
     use_artifacts,
 )
-from repro.kernels.config import (
-    PRECISIONS,
-    fast_paths_enabled,
-    precision,
-    set_fast_paths,
-    set_precision,
-    use_fast_paths,
-    use_precision,
-)
 from repro.kernels.survival import (
     batched_rule_expectations,
     batched_sample_expectations,
@@ -47,22 +38,15 @@ from repro.kernels.survival import (
 )
 
 __all__ = [
-    "PRECISIONS",
     "ArtifactCache",
     "artifacts_enabled",
     "batched_rule_expectations",
     "batched_sample_expectations",
     "default_artifact_cache_dir",
-    "fast_paths_enabled",
     "get_artifact_cache",
     "memoize_artifact",
     "pad_rule_tables",
-    "precision",
     "set_artifacts_enabled",
-    "set_fast_paths",
-    "set_precision",
     "sweep_rule_expectations",
     "use_artifacts",
-    "use_fast_paths",
-    "use_precision",
 ]

@@ -1,22 +1,23 @@
-"""Kernel fast-path benchmark harness.
+"""Kernel benchmark harness.
 
-Times every fast path of :mod:`repro.kernels` against the reference
-implementation it replaces — the same code paths the equivalence tests
-compare numerically — plus one end-to-end serial analyzer run (workload
-power-thermal fixed point, analyzer preparation, st_fast lifetime and
-reliability curve, Imhof reference check).
+Times every production kernel against its loop-per-element oracle in
+:mod:`repro.kernels.reference` (or, for the batched Imhof inversion, the
+per-point adaptive fallback) — the same pairs the equivalence tests
+compare numerically — plus the warm-artifact analyzer build and a
+power-thermal sweep that records factorization-cache reuse.
 
 Used two ways:
 
 - ``repro bench kernels`` (CLI) runs :func:`run_kernel_benchmarks` and
   writes ``BENCH_kernels.json``;
 - ``benchmarks/test_kernels.py`` wraps the same entry points in the
-  pytest benchmark harness and enforces the speedup/regression gates.
+  pytest benchmark harness and enforces the cache-reuse and regression
+  gates.
 
 All timings are best-of-``repeats`` wall clock.  Results are reported as
-raw seconds plus the dimensionless fast-vs-reference speedup; the CI
-regression gate compares *speedups* (machine-portable), never absolute
-times.
+raw seconds plus the dimensionless production-vs-reference speedup; the
+CI regression gate compares *speedups* (machine-portable), never
+absolute times.
 """
 
 from __future__ import annotations
@@ -42,19 +43,16 @@ from repro.core.ensemble import (
     StMcAnalyzer,
     sweep_reliabilities,
 )
-from repro.errors import NumericalError
 from repro.core.hybrid import HybridAnalyzer
+from repro.errors import NumericalError
+from repro.kernels import reference
 from repro.kernels.artifacts import use_artifacts
-from repro.kernels.config import use_fast_paths
 from repro.power.activity import ActivityProfile
 from repro.power.loop import solve_power_thermal
 from repro.thermal.factor_cache import clear_factor_cache, factor_cache_stats
 from repro.thermal.grid import PackageModel
 from repro.thermal.hotspot import HotSpotLite
-from repro.thermal.solver import (
-    _build_conductance_matrix,
-    _build_conductance_matrix_reference,
-)
+from repro.thermal.solver import _build_conductance_matrix
 
 __all__ = [
     "DEFAULT_BENCH_PATH",
@@ -116,42 +114,40 @@ def _bench_conductance(mesh: int, repeats: int) -> dict[str, Any]:
     grid = GridSpec(nx=mesh, ny=mesh, width=0.016, height=0.016)
     package = PackageModel()
     ref = _best_of(
-        lambda: _build_conductance_matrix_reference(grid, package), repeats
+        lambda: reference.build_conductance_matrix(grid, package), repeats
     )
     fast = _best_of(lambda: _build_conductance_matrix(grid, package), repeats)
     return _entry(ref, fast, cells=grid.n_cells)
 
 
-def _bench_power_thermal(
-    design: str, mesh: int, repeats: int
-) -> dict[str, Any]:
-    """The leakage-temperature fixed point with/without the factor cache."""
+def _bench_factor_cache(design: str, mesh: int) -> dict[str, Any]:
+    """Factorization-cache reuse over a multi-mode power-thermal sweep.
+
+    Three activity modes of one design share a grid and package, so the
+    fixed point factors the conductance system once and every later
+    solve — across iterations and modes — is a cached back-substitution.
+    """
     floorplan = make_benchmark(design)
     thermal_model = HotSpotLite(mesh_resolution=mesh)
-    profiles = [
-        ActivityProfile.preset(name, floorplan)
-        for name in ("typical", "int_heavy", "memory_bound")
-    ]
-
-    def sweep() -> None:
-        for profile in profiles:
-            solve_power_thermal(
-                floorplan, profile, thermal_model=thermal_model
-            )
-
-    with use_fast_paths(False):
-        ref = _best_of(sweep, repeats)
     clear_factor_cache()
-    with use_fast_paths(True):
-        fast = _best_of(sweep, repeats)
+    iterations = 0
+    start = time.perf_counter()
+    for mode in ("typical", "int_heavy", "memory_bound"):
+        solution = solve_power_thermal(
+            floorplan,
+            ActivityProfile.preset(mode, floorplan),
+            thermal_model=thermal_model,
+        )
+        iterations += solution.iterations
+    elapsed = time.perf_counter() - start
     stats = factor_cache_stats()
-    return _entry(
-        ref,
-        fast,
-        profiles=len(profiles),
-        cache_hits=stats["hits"],
-        cache_misses=stats["misses"],
-    )
+    return {
+        "sweep_s": round(elapsed, 6),
+        "profiles": 3,
+        "power_loop_iterations": iterations,
+        "cache_hits": stats["hits"],
+        "cache_misses": stats["misses"],
+    }
 
 
 def _bench_ensemble(
@@ -160,16 +156,12 @@ def _bench_ensemble(
     st_mc_samples: int,
     repeats: int,
 ) -> dict[str, dict[str, Any]]:
-    """Batched vs per-block-loop ensemble failure probabilities."""
+    """Fused all-blocks kernels vs the per-block ``block_expectation`` loop."""
     st_fast = StFastAnalyzer(analyzer.blocks, l0=analyzer.config.l0)
-    with use_fast_paths(False):
-        ref = _best_of(
-            lambda: st_fast.block_failure_probabilities(times), repeats
-        )
-    with use_fast_paths(True):
-        fast = _best_of(
-            lambda: st_fast.block_failure_probabilities(times), repeats
-        )
+    ref = _best_of(
+        lambda: reference.block_failure_probabilities(st_fast, times), repeats
+    )
+    fast = _best_of(lambda: st_fast.block_failure_probabilities(times), repeats)
     out = {
         "st_fast_curve": _entry(
             ref, fast, blocks=len(analyzer.blocks), times=int(times.size)
@@ -177,14 +169,10 @@ def _bench_ensemble(
     }
 
     st_mc = StMcAnalyzer(analyzer.blocks, n_samples=st_mc_samples, seed=0)
-    with use_fast_paths(False):
-        ref = _best_of(
-            lambda: st_mc.block_failure_probabilities(times), repeats
-        )
-    with use_fast_paths(True):
-        fast = _best_of(
-            lambda: st_mc.block_failure_probabilities(times), repeats
-        )
+    ref = _best_of(
+        lambda: reference.block_failure_probabilities(st_mc, times), repeats
+    )
+    fast = _best_of(lambda: st_mc.block_failure_probabilities(times), repeats)
     out["st_mc_curve"] = _entry(
         ref, fast, samples=st_mc_samples, times=int(times.size)
     )
@@ -197,30 +185,31 @@ def _bench_hybrid(
     table: int,
     repeats: int,
 ) -> dict[str, dict[str, Any]]:
-    """Shared-scaled-grid table build and batched query interpolation."""
-
-    def build() -> HybridAnalyzer:
-        return HybridAnalyzer(
-            analyzer.blocks, n_alpha=table, n_b=table, l0=analyzer.config.l0
-        )
-
-    # Artifacts off: this entry isolates the fused table-build kernel;
-    # the artifact warm path has its own benchmark (artifact_warm_rerun).
+    """Fused table build and batched query vs their per-block loops."""
+    l0 = analyzer.config.l0
+    # Artifacts off: the timed builds below call the table kernels
+    # directly, so this construction should not read or store the cache
+    # (the artifact warm path has its own benchmark, artifact_warm_build).
     with use_artifacts(False):
-        with use_fast_paths(False):
-            ref_build = _best_of(build, repeats)
-        with use_fast_paths(True):
-            fast_build = _best_of(build, repeats)
-            hybrid = build()
+        hybrid = HybridAnalyzer(analyzer.blocks, n_alpha=table, n_b=table, l0=l0)
+    ref_build = _best_of(
+        lambda: [
+            reference.hybrid_block_table(hybrid, block, l0=l0)
+            for block in hybrid.blocks
+        ],
+        repeats,
+    )
+    fast_build = _best_of(
+        lambda: hybrid._build_tables_batched(l0, 1e-6, True), repeats
+    )
     query_times = times[times < 0.3 * min(b.alpha for b in analyzer.blocks)]
-    with use_fast_paths(False):
-        ref_query = _best_of(
-            lambda: hybrid.block_failure_probabilities(query_times), repeats
-        )
-    with use_fast_paths(True):
-        fast_query = _best_of(
-            lambda: hybrid.block_failure_probabilities(query_times), repeats
-        )
+    ref_query = _best_of(
+        lambda: reference.hybrid_block_failure_probabilities(hybrid, query_times),
+        repeats,
+    )
+    fast_query = _best_of(
+        lambda: hybrid.block_failure_probabilities(query_times), repeats
+    )
     return {
         "hybrid_build": _entry(
             ref_build, fast_build, blocks=len(analyzer.blocks), table=table
@@ -273,10 +262,9 @@ def _bench_batch_fusion(
         for sub in subs:
             sub.reliability(times)
 
-    with use_fast_paths(True):
-        per_analyzer()  # prime the lazily built rule tables
-        ref = _best_of(per_analyzer, repeats)
-        fast = _best_of(fused, repeats)
+    per_analyzer()  # prime the lazily built rule tables
+    ref = _best_of(per_analyzer, repeats)
+    fast = _best_of(fused, repeats)
     return _entry(
         ref, fast, profiles=len(subs), times=int(times.size)
     )
@@ -321,7 +309,7 @@ def _bench_artifacts(design: str, repeats: int) -> dict[str, Any]:
         )
 
     with tempfile.TemporaryDirectory() as tmp:
-        with _artifact_dir(tmp), use_fast_paths(True):
+        with _artifact_dir(tmp):
             cold = float("inf")
             for _ in range(repeats):
                 _clear_dir(tmp)
@@ -346,96 +334,21 @@ def _bench_imhof(
     form = _widest_form(analyzer)
     match = form.chi2_match()
     xs = np.asarray(match.ppf(np.linspace(0.05, 0.98, n_points, dtype=np.float64)))
-    with use_fast_paths(False):
-        ref = _best_of(lambda: form.imhof_sf(xs), 1)
-    with use_fast_paths(True):
-        form.imhof_sf(xs)  # build + cache the node tables once
-        fast = _best_of(lambda: form.imhof_sf(xs), repeats)
+    lam, scale = form._imhof_spectrum
+    shifted = (xs - form.offset) / scale
+    ref = _best_of(
+        lambda: [form._imhof_sf_adaptive(lam, s, 200) for s in shifted], repeats
+    )
+    form.imhof_sf(xs)  # build + cache the node tables once
+    fast = _best_of(lambda: form.imhof_sf(xs), repeats)
     return _entry(ref, fast, points=n_points)
-
-
-def _bench_end_to_end(
-    design: str,
-    mesh: int,
-    curve_points: int,
-    imhof_points: int,
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """One full serial analyzer run, reference vs fast paths.
-
-    Workload power-thermal fixed points over three activity modes (the
-    multi-mode sweep of a reliability-management study, where the
-    factorization cache is reused across modes), analyzer preparation at
-    the typical-mode temperatures, st_fast 10-ppm lifetime, a reliability
-    curve, and a small Imhof reference check — the serial flow a designer
-    runs per design point.
-
-    Returns two entries: the cold run (empty artifact cache, so the
-    fast timing pays the artifact *store* overhead — comparable to the
-    pre-artifact baselines) and the warm rerun of the same scenario,
-    where analyzer preparation is served from the artifact cache.
-    """
-
-    def run() -> dict[str, Any]:
-        floorplan = make_benchmark(design)
-        thermal_model = HotSpotLite(mesh_resolution=mesh)
-        iterations = 0
-        for mode in ("int_heavy", "memory_bound", "typical"):
-            profile = ActivityProfile.preset(mode, floorplan)
-            solution = solve_power_thermal(
-                floorplan, profile, thermal_model=thermal_model
-            )
-            iterations += solution.iterations
-        analyzer = ReliabilityAnalyzer(
-            solution.floorplan,
-            config=AnalysisConfig(exec_backend="serial"),
-            block_temperatures=solution.block_temperatures,
-        )
-        center = analyzer.lifetime(10.0, method="st_fast")
-        times = np.geomspace(center / 100.0, 2.0 * center, curve_points)
-        analyzer.reliability(times, method="st_fast")
-        form = _widest_form(analyzer)
-        xs = np.asarray(
-            form.chi2_match().ppf(
-                np.linspace(0.1, 0.95, imhof_points, dtype=np.float64)
-            )
-        )
-        form.imhof_sf(xs)
-        return {"iterations": iterations}
-
-    with tempfile.TemporaryDirectory() as tmp:
-        with _artifact_dir(tmp):
-            with use_fast_paths(False):
-                start = time.perf_counter()
-                info = run()
-                ref = time.perf_counter() - start
-            _clear_dir(tmp)
-            clear_factor_cache()
-            with use_fast_paths(True):
-                start = time.perf_counter()
-                info = run()
-                fast = time.perf_counter() - start
-                stats = factor_cache_stats()
-                start = time.perf_counter()
-                run()
-                warm = time.perf_counter() - start
-    cold_entry = _entry(
-        ref,
-        fast,
-        power_loop_iterations=info["iterations"],
-        cache_hits=stats["hits"],
-        cache_misses=stats["misses"],
-    )
-    warm_entry = _entry(
-        ref, warm, power_loop_iterations=info["iterations"]
-    )
-    return cold_entry, warm_entry
 
 
 def run_kernel_benchmarks(scale: str = "quick") -> dict[str, Any]:
     """Run every kernel benchmark at the given scale; returns the report.
 
     The report is JSON-serialisable and shaped for ``BENCH_kernels.json``:
-    ``{"schema": 1, "scale": ..., "micro": {...}, "end_to_end": {...}}``.
+    ``{"schema": 2, "scale": ..., "micro": {...}, "factor_cache": {...}}``.
     """
     from repro.errors import ConfigurationError
 
@@ -465,9 +378,6 @@ def run_kernel_benchmarks(scale: str = "quick") -> dict[str, Any]:
     micro["conductance_build"] = _bench_conductance(
         knobs["conductance_mesh"], repeats
     )
-    micro["power_thermal_sweep"] = _bench_power_thermal(
-        knobs["design"], knobs["mesh"], repeats
-    )
     micro.update(
         _bench_ensemble(analyzer, times, knobs["st_mc_samples"], repeats)
     )
@@ -477,19 +387,12 @@ def run_kernel_benchmarks(scale: str = "quick") -> dict[str, Any]:
     )
     micro["batch_fusion"] = _bench_batch_fusion(analyzer, repeats)
     micro["artifact_warm_build"] = _bench_artifacts(knobs["design"], repeats)
-    end_to_end, end_to_end_warm = _bench_end_to_end(
-        knobs["design"],
-        knobs["mesh"],
-        knobs["curve_points"],
-        max(knobs["imhof_points"] // 2, 4),
-    )
     return {
-        "schema": 1,
+        "schema": 2,
         "scale": scale,
         "design": knobs["design"],
         "micro": micro,
-        "end_to_end": end_to_end,
-        "end_to_end_warm": end_to_end_warm,
+        "factor_cache": _bench_factor_cache(knobs["design"], knobs["mesh"]),
     }
 
 
@@ -511,20 +414,16 @@ def format_kernel_report(results: dict[str, Any]) -> str:
         f"{'benchmark':<22} {'reference':>12} {'fast':>12} {'speedup':>9}",
         "-" * 58,
     ]
-    entries = dict(results["micro"])
-    entries["end_to_end"] = results["end_to_end"]
-    if "end_to_end_warm" in results:
-        entries["end_to_end_warm"] = results["end_to_end_warm"]
-    for name, entry in entries.items():
+    for name, entry in results["micro"].items():
         lines.append(
             f"{name:<22} {entry['reference_s']:>10.4f}s "
             f"{entry['fast_s']:>10.4f}s {entry['speedup']:>8.2f}x"
         )
-    e2e = results["end_to_end"]
+    cache = results["factor_cache"]
     lines += [
         "",
-        f"factor cache (end-to-end): {e2e['cache_hits']} hits / "
-        f"{e2e['cache_misses']} misses over "
-        f"{e2e['power_loop_iterations']} power-loop iterations",
+        f"factor cache (power-thermal sweep): {cache['cache_hits']} hits / "
+        f"{cache['cache_misses']} misses over "
+        f"{cache['power_loop_iterations']} power-loop iterations",
     ]
     return "\n".join(lines)

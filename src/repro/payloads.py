@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: Bump on any breaking change to a payload layout (key renames/removals).
-PAYLOAD_SCHEMA_VERSION = 1
+PAYLOAD_SCHEMA_VERSION = 2
 
 
 def stamp_envelope(payload: dict[str, Any]) -> dict[str, Any]:
@@ -66,14 +66,8 @@ def dump_payload(payload: dict[str, Any]) -> str:
 
 def execution_info(analyzer: ReliabilityAnalyzer) -> dict[str, Any]:
     """The backend/worker summary embedded in analysis payloads."""
-    from repro.kernels.config import precision
-
     backend = analyzer.exec_backend
-    return {
-        "backend": backend.name,
-        "jobs": backend.jobs,
-        "precision": precision(),
-    }
+    return {"backend": backend.name, "jobs": backend.jobs}
 
 
 def lifetime_payload(

@@ -25,7 +25,6 @@ from repro.chip.benchmarks import BENCHMARK_DEVICE_COUNTS, make_benchmark
 from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
 from repro.errors import ReproError, ServiceError
 from repro.exec.cache import fingerprint
-from repro.kernels.config import PRECISIONS, use_precision
 
 __all__ = ["JOB_KINDS", "JobRequest", "run_job"]
 
@@ -107,9 +106,6 @@ class JobRequest:
     #: (:meth:`repro.scenario.Scenario.as_dict`) — the full phase
     #: schedule and mechanism set fold into the fingerprint.
     scenario: dict[str, Any] | None = None
-    #: Kernel precision tier (``float64`` reference or ``fast32``); part
-    #: of the fingerprint, and recorded in the result payload.
-    precision: str = "float64"
 
     @classmethod
     def from_dict(cls, data: Any) -> JobRequest:
@@ -264,16 +260,10 @@ class JobRequest:
                 scenario_raw is None,
                 "'scenario' applies to scenario jobs only",
             )
-        precision = data.get("precision", "float64")
-        _require(
-            precision in PRECISIONS,
-            f"field 'precision' must be one of {', '.join(PRECISIONS)}, "
-            f"got {precision!r}",
-        )
         known = {
             "kind", "design", "setup", "grid", "rho", "vdd", "ppm",
             "methods", "method", "mc_chips", "seed", "t_min", "t_max",
-            "points", "shards", "times", "scenario", "precision",
+            "points", "shards", "times", "scenario",
         }
         unknown = sorted(set(data) - known)
         _require(not unknown, f"unknown field(s): {', '.join(unknown)}")
@@ -302,7 +292,6 @@ class JobRequest:
                 else None
             ),
             scenario=scenario_doc,
-            precision=precision,
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -364,50 +353,45 @@ def run_job(
     ``cancel_check``/``checkpoint_path`` flow into the sharded MC engine
     (the only long-running path): cancellation takes effect at shard
     boundaries and a flushed checkpoint lets an interrupted job resume.
-
-    The whole evaluation runs under the request's kernel precision tier
-    (a process-wide switch, restored afterwards; the tier is part of the
-    request fingerprint, so cached results never mix tiers).
     """
-    with use_precision(request.precision):
-        if request.kind == "report":
-            return payloads.report_payload(request.build_analyzer)
-        analyzer = request.build_analyzer()
-        if request.kind == "mc_shards":
-            assert request.shards is not None and request.times is not None
-            return payloads.mc_shards_payload(
-                analyzer,
-                list(request.times),
-                list(request.shards),
-                mc_chips=request.mc_chips,
-                seed=request.seed,
-                checkpoint_path=checkpoint_path,
-                cancel_check=cancel_check,
-            )
-        if request.kind == "scenario":
-            from repro.scenario.schedule import Scenario
-
-            assert request.scenario is not None
-            return payloads.scenario_payload(
-                analyzer,
-                Scenario.from_dict(request.scenario),
-                request.ppm,
-            )
-        if request.kind == "curve":
-            assert request.t_min is not None and request.t_max is not None
-            return payloads.curve_payload(
-                analyzer,
-                request.methods[0],
-                t_min=request.t_min,
-                t_max=request.t_max,
-                points=request.points,
-            )
-        return payloads.lifetime_payload(
+    if request.kind == "report":
+        return payloads.report_payload(request.build_analyzer)
+    analyzer = request.build_analyzer()
+    if request.kind == "mc_shards":
+        assert request.shards is not None and request.times is not None
+        return payloads.mc_shards_payload(
             analyzer,
-            request.ppm,
-            request.methods,
+            list(request.times),
+            list(request.shards),
             mc_chips=request.mc_chips,
             seed=request.seed,
             checkpoint_path=checkpoint_path,
             cancel_check=cancel_check,
         )
+    if request.kind == "scenario":
+        from repro.scenario.schedule import Scenario
+
+        assert request.scenario is not None
+        return payloads.scenario_payload(
+            analyzer,
+            Scenario.from_dict(request.scenario),
+            request.ppm,
+        )
+    if request.kind == "curve":
+        assert request.t_min is not None and request.t_max is not None
+        return payloads.curve_payload(
+            analyzer,
+            request.methods[0],
+            t_min=request.t_min,
+            t_max=request.t_max,
+            points=request.points,
+        )
+    return payloads.lifetime_payload(
+        analyzer,
+        request.ppm,
+        request.methods,
+        mc_chips=request.mc_chips,
+        seed=request.seed,
+        checkpoint_path=checkpoint_path,
+        cancel_check=cancel_check,
+    )

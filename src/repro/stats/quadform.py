@@ -23,7 +23,6 @@ from scipy import integrate
 from scipy import stats as sps
 
 from repro.errors import ConfigurationError, NumericalError
-from repro.kernels.config import fast_paths_enabled, precision
 from repro.obs import metrics
 
 #: Truncation tolerance of the batched Imhof quadrature (envelope bound).
@@ -194,13 +193,13 @@ class QuadraticForm:
         """Exact ``P(Q > x)`` by Imhof's numerical inversion [32].
 
         Accepts a scalar or an array of ``x``; a scalar returns a float.
-        With fast paths enabled (:mod:`repro.kernels.config`), the whole
-        batch shares one eigendecomposition and one composite
+        The whole batch shares one eigendecomposition and one composite
         Gauss-Legendre evaluation of the oscillatory integrand, instead of
         a per-point adaptive ``quad`` call.  Forms whose tails decay too
         slowly for a bounded node count (fewer than ~3 retained
-        eigenvalues) fall back to the per-point adaptive reference, which
-        also serves the equivalence tests.  Accurate to roughly 1e-7.
+        eigenvalues, or spectra over the node budget) fall back to the
+        per-point adaptive inversion, which also serves the equivalence
+        tests as the oracle.  Accurate to roughly 1e-7.
         """
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         scalar = np.ndim(x) == 0
@@ -212,9 +211,7 @@ class QuadraticForm:
             return float(out[0]) if scalar else out
         lam, scale = spectrum
         shifted = (x_arr - self.offset) / scale
-        out = None
-        if fast_paths_enabled():
-            out = self._imhof_sf_batched(lam, shifted)
+        out = self._imhof_sf_batched(lam, shifted)
         if out is None:
             out = np.array(
                 [self._imhof_sf_adaptive(lam, s, limit) for s in shifted]
@@ -224,7 +221,7 @@ class QuadraticForm:
     def _imhof_sf_adaptive(
         self, lam: np.ndarray, shifted: float, limit: int
     ) -> float:
-        """Per-point adaptive-quad Imhof inversion (reference path)."""
+        """Per-point adaptive-quad Imhof inversion (fallback and oracle)."""
 
         def theta(u: float) -> float:
             return 0.5 * float(np.sum(np.arctan(lam * u))) - 0.5 * shifted * u
@@ -315,23 +312,15 @@ class QuadraticForm:
         else:
             u, theta_base, weight = tables
         metrics.inc("kernels.imhof_nodes", u.size * shifted.size)
-        # The node tables stay float64 (built once, cached); under the
-        # fast32 tier only the per-x evaluation sweep — the part repeated
-        # for every query batch — runs in float32, upcast on return.
-        dtype = np.float32 if precision() == "fast32" else np.float64
-        u_eval = u.astype(dtype=dtype, copy=False)
-        theta_eval = theta_base.astype(dtype=dtype, copy=False)
-        weight_eval = weight.astype(dtype=dtype, copy=False)
-        shifted_eval = shifted.astype(dtype=dtype, copy=False)
-        out = np.empty(shifted.size, dtype=np.float64)
+        out = np.empty(shifted.size)
         step = max(_IMHOF_CHUNK_ELEMENTS // u.size, 1)
         for start in range(0, shifted.size, step):
             stop = min(start + step, shifted.size)
             phase = (
-                theta_eval[None, :]
-                - 0.5 * shifted_eval[start:stop, None] * u_eval[None, :]
+                theta_base[None, :]
+                - 0.5 * shifted[start:stop, None] * u[None, :]
             )
-            out[start:stop] = np.sin(phase) @ weight_eval
+            out[start:stop] = np.sin(phase) @ weight
         return np.clip(0.5 + out / np.pi, 0.0, 1.0)
 
     def imhof_cdf(

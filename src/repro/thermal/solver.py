@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
 
 from repro.chip.geometry import GridSpec
 from repro.errors import SolverError
-from repro.kernels.config import fast_paths_enabled
 from repro.obs import metrics
 from repro.obs.trace import span
 from repro.thermal.factor_cache import cached_factorization
@@ -112,45 +110,6 @@ def _build_conductance_matrix(
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _build_conductance_matrix_reference(
-    grid: GridSpec, package: PackageModel
-) -> csr_matrix:
-    """Per-cell-loop assembly (pre-fast-path reference implementation).
-
-    Kept for the kernel equivalence tests and benchmarks; the vectorized
-    builder must stay numerically interchangeable with this one.
-    """
-    g_x, g_y = package.lateral_conductance(grid)
-    g_v = package.vertical_conductance(grid)
-    nx, ny = grid.nx, grid.ny
-    n = grid.n_cells
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    diag = np.full(n, g_v)
-
-    def couple(i: int, j: int, g: float) -> None:
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((-g, -g))
-        diag[i] += g
-        diag[j] += g
-
-    for row in range(ny):
-        for col in range(nx):
-            index = row * nx + col
-            if col + 1 < nx:
-                couple(index, index + 1, g_x)
-            if row + 1 < ny:
-                couple(index, index + nx, g_y)
-
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
 def solve_steady_state(
     grid: GridSpec,
     cell_power: np.ndarray,
@@ -177,19 +136,14 @@ def solve_steady_state(
     with span("thermal.solve", cells=grid.n_cells) as solve_span:
         g_v = package.vertical_conductance(grid)
         rhs = cell_power + g_v * package.ambient_temperature
-        if fast_paths_enabled():
-            # Factor the SPD conductance system once per (grid, package)
-            # and reuse the back-substitution: every iteration of the
-            # power-thermal fixed point and every design of a sweep hits
-            # the same key.
-            solve, hit = cached_factorization(
-                grid, package, lambda: _build_conductance_matrix(grid, package)
-            )
-            temperatures = solve(rhs)
-            solve_span.set(factor_cache="hit" if hit else "miss")
-        else:
-            matrix = _build_conductance_matrix_reference(grid, package)
-            temperatures = spsolve(matrix, rhs)
+        # Factor the SPD conductance system once per (grid, package) and
+        # reuse the back-substitution: every iteration of the power-thermal
+        # fixed point and every design of a sweep hits the same key.
+        solve, hit = cached_factorization(
+            grid, package, lambda: _build_conductance_matrix(grid, package)
+        )
+        temperatures = solve(rhs)
+        solve_span.set(factor_cache="hit" if hit else "miss")
         metrics.inc("thermal.solves")
     if not np.all(np.isfinite(temperatures)):
         raise SolverError("thermal solve produced non-finite temperatures")

@@ -1,10 +1,9 @@
-"""Equivalence regression tests for the ``repro.kernels`` fast paths.
+"""Equivalence regression tests for the ``repro.kernels`` production kernels.
 
-Every fast path must reproduce the reference implementation it replaces:
-the batched ensemble/hybrid kernels to floating-point round-off, the
-vectorized geometry and conductance assembly bit for bit.  Each test
-evaluates the same public API with fast paths forced off (the reference
-per-block/per-cell loops) and on, and compares.
+Every vectorised kernel must reproduce its loop-per-element oracle in
+:mod:`repro.kernels.reference`: the batched ensemble/hybrid kernels to
+floating-point round-off, the vectorized geometry and conductance
+assembly bit for bit.
 """
 
 import numpy as np
@@ -14,12 +13,9 @@ from repro.chip.geometry import GridSpec, Rect
 from repro.core.ensemble import StFastAnalyzer, StMcAnalyzer
 from repro.core.hybrid import HybridAnalyzer
 from repro.errors import ConfigurationError
-from repro.kernels import pad_rule_tables, use_fast_paths
+from repro.kernels import pad_rule_tables, reference
 from repro.thermal.grid import PackageModel
-from repro.thermal.solver import (
-    _build_conductance_matrix,
-    _build_conductance_matrix_reference,
-)
+from repro.thermal.solver import _build_conductance_matrix
 
 
 @pytest.fixture(scope="module")
@@ -56,48 +52,40 @@ class TestPadRuleTables:
 class TestEnsembleEquivalence:
     def test_st_fast_batched_matches_loop(self, blocks, times):
         analyzer = StFastAnalyzer(blocks)
-        with use_fast_paths(False):
-            reference = analyzer.block_failure_probabilities(times)
-        with use_fast_paths(True):
-            fast = analyzer.block_failure_probabilities(times)
-        np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-13)
+        expected = reference.block_failure_probabilities(analyzer, times)
+        fast = analyzer.block_failure_probabilities(times)
+        np.testing.assert_allclose(fast, expected, rtol=0.0, atol=1e-13)
 
     def test_st_mc_samples_batched_matches_loop(self, blocks, times):
         analyzer = StMcAnalyzer(blocks, n_samples=2000, seed=7)
-        with use_fast_paths(False):
-            reference = analyzer.block_failure_probabilities(times)
-        with use_fast_paths(True):
-            fast = analyzer.block_failure_probabilities(times)
-        np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-13)
+        expected = reference.block_failure_probabilities(analyzer, times)
+        fast = analyzer.block_failure_probabilities(times)
+        np.testing.assert_allclose(fast, expected, rtol=0.0, atol=1e-13)
 
     def test_st_mc_histogram_has_no_fast_path(self, blocks, times):
         analyzer = StMcAnalyzer(
             blocks, n_samples=2000, seed=7, estimator="histogram"
         )
-        with use_fast_paths(False):
-            reference = analyzer.block_failure_probabilities(times)
-        with use_fast_paths(True):
-            fast = analyzer.block_failure_probabilities(times)
-        np.testing.assert_array_equal(fast, reference)
+        expected = reference.block_failure_probabilities(analyzer, times)
+        fast = analyzer.block_failure_probabilities(times)
+        np.testing.assert_array_equal(fast, expected)
 
 
 class TestHybridEquivalence:
     def test_tables_and_queries_match(self, blocks, times):
-        with use_fast_paths(False):
-            reference = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
-        with use_fast_paths(True):
-            fast = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
-        np.testing.assert_allclose(
-            fast.tables, reference.tables, rtol=0.0, atol=1e-12
+        fast = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
+        expected = np.stack(
+            [reference.hybrid_block_table(fast, block) for block in blocks]
         )
+        np.testing.assert_allclose(fast.tables, expected, rtol=0.0, atol=1e-12)
         alpha_min = min(block.alpha for block in blocks)
         query_times = np.concatenate(
             [[0.0], np.geomspace(1e-4 * alpha_min, 0.2 * alpha_min, 20)]
         )
-        with use_fast_paths(False):
-            ref_probs = reference.block_failure_probabilities(query_times)
-        with use_fast_paths(True):
-            fast_probs = reference.block_failure_probabilities(query_times)
+        ref_probs = reference.hybrid_block_failure_probabilities(
+            fast, query_times
+        )
+        fast_probs = fast.block_failure_probabilities(query_times)
         np.testing.assert_allclose(
             fast_probs, ref_probs, rtol=0.0, atol=1e-13
         )
@@ -106,12 +94,10 @@ class TestHybridEquivalence:
         analyzer = HybridAnalyzer(blocks, n_alpha=40, n_b=40)
         alpha_max = max(block.alpha for block in blocks)
         bad = np.array([alpha_max * 2.0])
-        with use_fast_paths(False):
-            with pytest.raises(ConfigurationError) as ref_exc:
-                analyzer.block_failure_probabilities(bad)
-        with use_fast_paths(True):
-            with pytest.raises(ConfigurationError) as fast_exc:
-                analyzer.block_failure_probabilities(bad)
+        with pytest.raises(ConfigurationError) as ref_exc:
+            reference.hybrid_block_failure_probabilities(analyzer, bad)
+        with pytest.raises(ConfigurationError) as fast_exc:
+            analyzer.block_failure_probabilities(bad)
         assert str(fast_exc.value) == str(ref_exc.value)
 
 
@@ -134,19 +120,10 @@ class TestGeometryEquivalence:
             for _ in range(50)
         ]
         for rect in rects:
-            with use_fast_paths(True):
-                fast = grid.overlap_fractions(rect)
-            reference = grid._overlap_fractions_reference(rect)
-            np.testing.assert_array_equal(fast, reference)
-
-    def test_disabled_fast_paths_use_reference(self):
-        grid = GridSpec(nx=4, ny=4, width=1.0, height=1.0)
-        rect = Rect(0.1, 0.1, 0.5, 0.5)
-        with use_fast_paths(False):
-            off = grid.overlap_fractions(rect)
-        np.testing.assert_array_equal(
-            off, grid._overlap_fractions_reference(rect)
-        )
+            np.testing.assert_array_equal(
+                grid.overlap_fractions(rect),
+                reference.overlap_fractions(grid, rect),
+            )
 
 
 class TestConductanceEquivalence:
@@ -154,5 +131,5 @@ class TestConductanceEquivalence:
         grid = GridSpec(nx=11, ny=7, width=0.016, height=0.012)
         package = PackageModel()
         fast = _build_conductance_matrix(grid, package).toarray()
-        reference = _build_conductance_matrix_reference(grid, package).toarray()
-        np.testing.assert_array_equal(fast, reference)
+        expected = reference.build_conductance_matrix(grid, package).toarray()
+        np.testing.assert_array_equal(fast, expected)

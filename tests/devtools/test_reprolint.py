@@ -38,7 +38,6 @@ RULE_FIXTURES = {
     "RPL007": ("service/rpl007_bad.py", "service/rpl007_clean.py", 3),
     "RPL008": ("rpl008_bad.py", "rpl008_clean.py", 5),
     "RPL012": ("rpl012_bad.py", "rpl012_clean.py", 5),
-    "RPL013": ("kernels/rpl013_bad.py", "kernels/rpl013_clean.py", 6),
     "RPL014": ("mechanisms/rpl014_bad.py", "mechanisms/rpl014_clean.py", 4),
 }
 

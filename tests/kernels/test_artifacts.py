@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import ReliabilityAnalyzer, obs
-from repro.kernels import use_precision
 from repro.kernels.artifacts import (
     ArtifactCache,
     artifact_key,
@@ -129,19 +128,6 @@ class TestAnalyzerReuse:
         )
         for blod_a, blod_b in zip(cold.blods, warm.blods):
             np.testing.assert_array_equal(blod_a.v_matrix, blod_b.v_matrix)
-
-    def test_precision_tiers_do_not_share_hybrid_tables(
-        self, artifact_dir, small_floorplan, fast_config
-    ):
-        ReliabilityAnalyzer(small_floorplan, config=fast_config).hybrid
-        with obs.enabled():
-            with use_precision("fast32"):
-                ReliabilityAnalyzer(
-                    small_floorplan, config=fast_config
-                ).hybrid
-            counters = obs.metrics_snapshot()["counters"]
-        # The fast32 build must not be served the float64 tables.
-        assert counters["kernels.artifacts.store"] >= 1
 
     def test_cross_process_reuse(self, artifact_dir, tmp_path):
         """A second process reuses entries the first one stored."""

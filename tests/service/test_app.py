@@ -81,6 +81,16 @@ class TestRouting:
         response = _submit(service, {"kind": "bogus", "design": "C1"})
         assert response.status == 400
 
+    @pytest.mark.parametrize("tier", ["fast32", "float64"])
+    def test_precision_field_rejected_400(self, service, tier):
+        # Jobs always run the one float64 kernel path, so a precision
+        # field is an unknown field whatever its value.
+        response = _submit(service, {**TINY, "precision": tier})
+        assert response.status == 400
+        error = _json(response)["error"]
+        assert error["code"] == "invalid_request"
+        assert "precision" in error["message"]
+
     def test_oversized_body_413(self, service):
         body = b"x" * 1_000_001
         assert service.handle("POST", "/v1/jobs", body, "t").status == 413

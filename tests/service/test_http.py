@@ -71,7 +71,7 @@ class TestHttpEndToEnd:
         )
         assert status == 200
         result = json.loads(body)
-        assert result["schema_version"] == 1
+        assert result["schema_version"] == 2
         assert "st_fast" in result["lifetime_hours"]
 
     def test_health_and_metrics(self, base_url):

@@ -173,8 +173,8 @@ class TestImhof:
 
 
 class TestImhofBatched:
-    """The vectorized ``imhof_sf`` fast path (shared eigendecomposition,
-    one batched oscillatory quadrature) vs the legacy adaptive reference.
+    """The vectorized ``imhof_sf`` kernel (shared eigendecomposition, one
+    batched oscillatory quadrature) vs the per-point adaptive inversion.
 
     The adaptive integrator itself carries ~1e-5 error on very small
     spectra, so tolerances compare against its accuracy, not round-off.
@@ -201,14 +201,18 @@ class TestImhofBatched:
         assert out == pytest.approx(float(form.imhof_sf(np.array([form.mean()]))[0]))
 
     def test_fast_path_off_matches(self, rng):
-        from repro.kernels import use_fast_paths
-
+        # Offset form: the batched inversion against the per-point
+        # adaptive path, which stays in production as its fallback.
         form = QuadraticForm(offset=0.5, matrix=_random_psd(rng, 6))
         xs = np.linspace(form.mean() * 0.3, form.mean() * 2.0, 6)
-        with use_fast_paths(True):
-            fast = form.imhof_sf(xs)
-        with use_fast_paths(False):
-            reference = form.imhof_sf(xs)
+        lam, scale = form._imhof_spectrum
+        fast = form.imhof_sf(xs)
+        reference = np.array(
+            [
+                form._imhof_sf_adaptive(lam, (x - form.offset) / scale, 200)
+                for x in xs
+            ]
+        )
         np.testing.assert_allclose(fast, reference, atol=5e-5)
 
     def test_chi2_reference_values(self):

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import subprocess
+import sys
 
 import pytest
 
@@ -535,30 +537,6 @@ class TestBatch:
         for a, b in zip(first["cells"], second["cells"], strict=True):
             assert a["lifetime_hours"] == b["lifetime_hours"]
 
-    def test_precision_flag_recorded(self, capsys, tmp_path):
-        from repro.kernels import set_precision
-
-        try:
-            code, out, _err = _run(
-                capsys,
-                "--precision",
-                "fast32",
-                "batch",
-                "--design",
-                "C1",
-                "--grid",
-                "6",
-                "--no-cache",
-                "--json",
-            )
-        finally:
-            # --precision flips the process-wide tier; restore it so the
-            # rest of the in-process suite stays on the reference tier.
-            set_precision("float64")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["execution"]["precision"] == "fast32"
-
 
 class TestCacheCommand:
     def test_stats_and_clear(self, capsys, tmp_path):
@@ -618,7 +596,7 @@ class TestBenchCommand:
         # The real harness takes a minute; the command logic is what the
         # CLI tests cover.
         results = {
-            "schema": 1,
+            "schema": 2,
             "scale": "quick",
             "design": "C2",
             "micro": {
@@ -628,10 +606,9 @@ class TestBenchCommand:
                     "speedup": 20.0,
                 }
             },
-            "end_to_end": {
-                "reference_s": 1.0,
-                "fast_s": 0.25,
-                "speedup": 4.0,
+            "factor_cache": {
+                "sweep_s": 0.02,
+                "profiles": 3,
                 "power_loop_iterations": 12,
                 "cache_hits": 11,
                 "cache_misses": 1,
@@ -648,6 +625,23 @@ class TestBenchCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
 
+    def test_cli_import_leaves_bench_and_oracles_unloaded(self):
+        # The bench harness and the reference oracles are imported by
+        # the ``bench`` handler only, never on every CLI start.
+        script = (
+            "import json, sys\n"
+            "import repro.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m in ('repro.kernels.bench', 'repro.kernels.reference'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
     def test_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "kernels", "--scale", "huge"])
@@ -656,7 +650,7 @@ class TestBenchCommand:
         code, out, _err = _run(capsys, "bench", "kernels", "--no-save")
         assert code == 0
         assert "conductance_build" in out
-        assert "end_to_end" in out
+        assert "factor cache" in out
         assert "wrote" not in out
 
     def test_writes_json_report(self, capsys, stub_results, tmp_path):
@@ -667,8 +661,8 @@ class TestBenchCommand:
         assert code == 0
         assert str(target) in out
         payload = json.loads(target.read_text())
-        assert payload["schema"] == 1
-        assert payload["end_to_end"]["cache_hits"] == 11
+        assert payload["schema"] == 2
+        assert payload["factor_cache"]["cache_hits"] == 11
 
     def test_json_output(self, capsys, stub_results, tmp_path):
         code, out, _err = _run(
@@ -700,11 +694,7 @@ class TestJobs:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["execution"] == {
-            "backend": "process",
-            "jobs": 2,
-            "precision": "float64",
-        }
+        assert payload["execution"] == {"backend": "process", "jobs": 2}
 
     def test_default_is_serial(self, capsys, tiny_args, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)

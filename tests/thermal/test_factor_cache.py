@@ -4,10 +4,11 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from repro import obs
 from repro.chip.geometry import GridSpec
-from repro.kernels import use_fast_paths
+from repro.kernels import reference
 from repro.thermal.factor_cache import (
     _MAX_ENTRIES,
     cached_factorization,
@@ -90,14 +91,11 @@ class TestCachedFactorization:
 class TestSolverIntegration:
     def test_cached_solution_matches_direct_spsolve(self, grid, package):
         power = _power(grid)
-        with use_fast_paths(False):
-            reference = solve_steady_state(grid, power, package)
-        with use_fast_paths(True):
-            cold = solve_steady_state(grid, power, package)
-            warm = solve_steady_state(grid, power, package)
-        np.testing.assert_allclose(
-            cold.values, reference.values, rtol=1e-12, atol=0.0
-        )
+        rhs = power + package.vertical_conductance(grid) * package.ambient_temperature
+        direct = spsolve(reference.build_conductance_matrix(grid, package), rhs)
+        cold = solve_steady_state(grid, power, package)
+        warm = solve_steady_state(grid, power, package)
+        np.testing.assert_allclose(cold.values, direct, rtol=1e-12, atol=0.0)
         # The warm solve reuses the factors, bit-identically.
         np.testing.assert_array_equal(warm.values, cold.values)
         stats = factor_cache_stats()
@@ -108,9 +106,8 @@ class TestSolverIntegration:
         obs.reset()
         obs.enable()
         try:
-            with use_fast_paths(True):
-                solve_steady_state(grid, _power(grid), package)
-                solve_steady_state(grid, _power(grid, seed=1), package)
+            solve_steady_state(grid, _power(grid), package)
+            solve_steady_state(grid, _power(grid, seed=1), package)
             from repro.obs import metrics
 
             assert metrics.get_counter("thermal.factor_cache.miss") == 1
