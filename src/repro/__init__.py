@@ -13,92 +13,116 @@ Quick start::
 
 See :mod:`repro.core.analyzer` for the full method list and the
 ``examples/`` directory for end-to-end scenarios.
+
+Importing the package loads no subsystem: every public name below
+resolves on first access (PEP 562), so ``import repro.cli`` pays only
+for what the command it runs needs.
 """
 
-from repro.chip.benchmarks import (
-    BENCHMARK_DEVICE_COUNTS,
-    make_alpha_processor,
-    make_benchmark,
-    make_manycore,
-    make_synthetic_design,
-)
-from repro.chip.floorplan import Block, Floorplan
-from repro.chip.geometry import GridSpec, Rect
-from repro.core.analyzer import METHODS, AnalysisConfig, ReliabilityAnalyzer
-from repro.core.blod import BlodModel, characterize_blods
-from repro.core.burnin import BurnInAnalyzer, ExtrinsicDefectModel
-from repro.core.ensemble import (
-    BlockReliability,
-    StFastAnalyzer,
-    StMcAnalyzer,
-    worst_case_blocks,
-)
-from repro.core.guardband import GuardBandAnalyzer
-from repro.core.hybrid import HybridAnalyzer
-from repro.core.lifetime import (
-    lifetime_at_ppm,
-    lifetime_from_curve,
-    ppm_to_reliability,
-    solve_lifetime,
-)
-from repro.core.mission import (
-    MissionAnalyzer,
-    MissionProfile,
-    OperatingPhase,
-    mission_analyzer,
-)
-from repro.core.montecarlo import MonteCarloEngine, ReliabilityCurve
-from repro.core.obd_model import (
-    DeviceReliabilityParams,
-    OBDModel,
-    TabulatedOBDModel,
-)
-from repro.core.sensitivity import (
-    SensitivityResult,
-    lifetime_sensitivities,
-    tornado_text,
-)
-from repro.core.voltage import (
-    VoltageScreeningResult,
-    max_vdd_for_target,
-    voltage_headroom,
-)
-from repro.errors import (
-    AdmissionError,
-    ConfigurationError,
-    ExecutionInterrupted,
-    FloorplanError,
-    NumericalError,
-    ReproError,
-    ServiceError,
-    SolverError,
-    UnitError,
-)
-from repro.leakage.degradation import (
-    DegradationParams,
-    DegradationTrace,
-    GateLeakageSimulator,
-)
-from repro.leakage.population import ChipLeakagePopulation
-from repro.power.activity import ActivityProfile
-from repro.power.loop import solve_power_thermal
-from repro.power.model import BlockPowerModel, PowerModelParams
-from repro.report import design_report, format_table, heat_map
-from repro.stats.weibull import AreaScaledWeibull
-from repro.thermal.grid import PackageModel
-from repro.thermal.hotspot import HotSpotLite, ThermalResult
-from repro.thermal.transient import TransientResult, TransientSolver
-from repro.variation.components import VariationBudget
-from repro.variation.correlation import SpatialCorrelationModel
-from repro.variation.extraction import (
-    ExtractionResult,
-    extract_variation_model,
-    synthesize_measurements,
-)
-from repro.variation.pca import CanonicalThicknessModel, build_canonical_model
-from repro.variation.quadtree import QuadTreeModel, build_quadtree_model
-from repro.variation.sampling import ChipSampler
-from repro.variation.wafer import WaferPattern
+import importlib
+from typing import Any
+
+#: The public names, grouped by the module that defines them.
+_EXPORTS_BY_MODULE: dict[str, tuple[str, ...]] = {
+    "repro.chip.benchmarks": (
+        "BENCHMARK_DEVICE_COUNTS",
+        "make_alpha_processor",
+        "make_benchmark",
+        "make_manycore",
+        "make_synthetic_design",
+    ),
+    "repro.chip.floorplan": ("Block", "Floorplan"),
+    "repro.chip.geometry": ("GridSpec", "Rect"),
+    "repro.core.analyzer": (
+        "METHODS",
+        "AnalysisConfig",
+        "ReliabilityAnalyzer",
+    ),
+    "repro.core.blod": ("BlodModel", "characterize_blods"),
+    "repro.core.burnin": ("BurnInAnalyzer", "ExtrinsicDefectModel"),
+    "repro.core.ensemble": (
+        "BlockReliability",
+        "StFastAnalyzer",
+        "StMcAnalyzer",
+        "worst_case_blocks",
+    ),
+    "repro.core.guardband": ("GuardBandAnalyzer",),
+    "repro.core.hybrid": ("HybridAnalyzer",),
+    "repro.core.lifetime": (
+        "lifetime_at_ppm",
+        "lifetime_from_curve",
+        "ppm_to_reliability",
+        "solve_lifetime",
+    ),
+    "repro.core.mission": (
+        "MissionAnalyzer",
+        "MissionProfile",
+        "OperatingPhase",
+        "mission_analyzer",
+    ),
+    "repro.core.montecarlo": ("MonteCarloEngine", "ReliabilityCurve"),
+    "repro.core.obd_model": (
+        "DeviceReliabilityParams",
+        "OBDModel",
+        "TabulatedOBDModel",
+    ),
+    "repro.core.sensitivity": (
+        "SensitivityResult",
+        "lifetime_sensitivities",
+        "tornado_text",
+    ),
+    "repro.core.voltage": (
+        "VoltageScreeningResult",
+        "max_vdd_for_target",
+        "voltage_headroom",
+    ),
+    "repro.errors": (
+        "AdmissionError",
+        "ConfigurationError",
+        "ExecutionInterrupted",
+        "FloorplanError",
+        "NumericalError",
+        "ReproError",
+        "ServiceError",
+        "SolverError",
+        "UnitError",
+    ),
+    "repro.leakage.degradation": (
+        "DegradationParams",
+        "DegradationTrace",
+        "GateLeakageSimulator",
+    ),
+    "repro.leakage.population": ("ChipLeakagePopulation",),
+    "repro.power.activity": ("ActivityProfile",),
+    "repro.power.loop": ("solve_power_thermal",),
+    "repro.power.model": ("BlockPowerModel", "PowerModelParams"),
+    "repro.report": ("design_report", "format_table", "heat_map"),
+    "repro.stats.weibull": ("AreaScaledWeibull",),
+    "repro.thermal.grid": ("PackageModel",),
+    "repro.thermal.hotspot": ("HotSpotLite", "ThermalResult"),
+    "repro.thermal.transient": ("TransientResult", "TransientSolver"),
+    "repro.variation.components": ("VariationBudget",),
+    "repro.variation.correlation": ("SpatialCorrelationModel",),
+    "repro.variation.extraction": (
+        "ExtractionResult",
+        "extract_variation_model",
+        "synthesize_measurements",
+    ),
+    "repro.variation.pca": (
+        "CanonicalThicknessModel",
+        "build_canonical_model",
+    ),
+    "repro.variation.quadtree": ("QuadTreeModel", "build_quadtree_model"),
+    "repro.variation.sampling": ("ChipSampler",),
+    "repro.variation.wafer": ("WaferPattern",),
+}
+
+_EXPORTS = {
+    name: module
+    for module, names in _EXPORTS_BY_MODULE.items()
+    for name in names
+}
+
 
 def _resolve_version() -> str:
     """The installed package version, falling back for source-tree runs.
@@ -117,83 +141,19 @@ def _resolve_version() -> str:
 
 __version__ = _resolve_version()
 
-__all__ = [
-    "AdmissionError",
-    "AnalysisConfig",
-    "ActivityProfile",
-    "ExecutionInterrupted",
-    "ServiceError",
-    "AreaScaledWeibull",
-    "BENCHMARK_DEVICE_COUNTS",
-    "Block",
-    "BlockPowerModel",
-    "BlockReliability",
-    "BlodModel",
-    "BurnInAnalyzer",
-    "ExtractionResult",
-    "ExtrinsicDefectModel",
-    "TransientResult",
-    "TransientSolver",
-    "VoltageScreeningResult",
-    "max_vdd_for_target",
-    "voltage_headroom",
-    "extract_variation_model",
-    "synthesize_measurements",
-    "MissionAnalyzer",
-    "MissionProfile",
-    "OperatingPhase",
-    "SensitivityResult",
-    "lifetime_sensitivities",
-    "mission_analyzer",
-    "tornado_text",
-    "CanonicalThicknessModel",
-    "ChipLeakagePopulation",
-    "ChipSampler",
-    "ConfigurationError",
-    "DegradationParams",
-    "DegradationTrace",
-    "DeviceReliabilityParams",
-    "Floorplan",
-    "FloorplanError",
-    "GateLeakageSimulator",
-    "GridSpec",
-    "GuardBandAnalyzer",
-    "HotSpotLite",
-    "HybridAnalyzer",
-    "METHODS",
-    "MonteCarloEngine",
-    "NumericalError",
-    "OBDModel",
-    "PackageModel",
-    "PowerModelParams",
-    "QuadTreeModel",
-    "Rect",
-    "ReliabilityAnalyzer",
-    "ReliabilityCurve",
-    "ReproError",
-    "SolverError",
-    "SpatialCorrelationModel",
-    "StFastAnalyzer",
-    "StMcAnalyzer",
-    "TabulatedOBDModel",
-    "ThermalResult",
-    "UnitError",
-    "VariationBudget",
-    "WaferPattern",
-    "build_canonical_model",
-    "build_quadtree_model",
-    "characterize_blods",
-    "design_report",
-    "format_table",
-    "heat_map",
-    "lifetime_at_ppm",
-    "lifetime_from_curve",
-    "make_alpha_processor",
-    "make_benchmark",
-    "make_manycore",
-    "make_synthetic_design",
-    "ppm_to_reliability",
-    "solve_lifetime",
-    "solve_power_thermal",
-    "worst_case_blocks",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the module that defines ``name`` and cache the attribute."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    """Every public name, imported yet or not."""
+    return sorted(set(globals()) | set(__all__))

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr
 
 from repro.core.ensemble import BlockReliability
 from repro.errors import ConfigurationError, NumericalError
@@ -101,7 +101,7 @@ class ResidualBinning:
         """Exact standard-normal bin probabilities (tails folded into the
         outermost bins so they sum to one)."""
         edges = np.linspace(-self.z_max, self.z_max, self.n_bins + 1)
-        cdf = sps.norm.cdf(edges)
+        cdf = ndtr(edges)
         probs = np.diff(cdf)
         probs[0] += cdf[0]
         probs[-1] += 1.0 - cdf[-1]

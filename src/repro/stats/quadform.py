@@ -10,6 +10,12 @@ module provides:
   escape hatch of footnote 4),
 - Imhof's exact numerical inversion [32] as the accuracy reference,
 - exact sampling.
+
+The chi-square surrogate evaluates ``scipy.special`` directly, in the
+operation order and with the support masks of ``scipy.stats.chi2``, so
+its values are bit-identical to the ``scipy.stats`` ones without
+importing it; ``scipy.integrate`` is imported by the adaptive Imhof
+path only.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
-from scipy import stats as sps
+from scipy.special import chdtr, gammaincinv, gammaln, xlogy
 
 from repro.errors import ConfigurationError, NumericalError
 from repro.obs import metrics
@@ -50,20 +55,32 @@ class Chi2Match:
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """CDF of the surrogate distribution."""
-        x = np.asarray(x, dtype=float)
-        out = sps.chi2.cdf((x - self.offset) / self.scale, self.dof)
+        z = (np.asarray(x, dtype=float) - self.offset) / self.scale
+        # 0 at and below the lower end of the support, as scipy.stats
+        # masks it (chdtr is NaN below it); NaN stays NaN, +inf gives 1.
+        out = np.where(z <= 0.0, 0.0, chdtr(self.dof, z))
         return out if out.ndim else float(out)
 
     def ppf(self, q: np.ndarray | float) -> np.ndarray | float:
         """Quantile function of the surrogate distribution."""
         q = np.asarray(q, dtype=float)
-        out = self.offset + self.scale * sps.chi2.ppf(q, self.dof)
+        out = self.offset + self.scale * (2 * gammaincinv(self.dof / 2, q))
         return out if out.ndim else float(out)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Density of the surrogate distribution."""
-        x = np.asarray(x, dtype=float)
-        out = sps.chi2.pdf((x - self.offset) / self.scale, self.dof) / self.scale
+        z = (np.asarray(x, dtype=float) - self.offset) / self.scale
+        below = z < 0.0
+        # Below the support the density is 0; evaluate a harmless 1 there
+        # so the log-density cannot overflow on points that are masked.
+        inside = np.where(below, 1.0, z)
+        log_pdf = (
+            xlogy(self.dof / 2.0 - 1, inside)
+            - inside / 2.0
+            - gammaln(self.dof / 2.0)
+            - (np.log(2) * self.dof) / 2.0
+        )
+        out = np.where(below, 0.0, np.exp(log_pdf)) / self.scale
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
@@ -222,6 +239,7 @@ class QuadraticForm:
         self, lam: np.ndarray, shifted: float, limit: int
     ) -> float:
         """Per-point adaptive-quad Imhof inversion (fallback and oracle)."""
+        from scipy import integrate
 
         def theta(u: float) -> float:
             return 0.5 * float(np.sum(np.arctan(lam * u))) - 0.5 * shifted * u

@@ -1,5 +1,6 @@
 """End-to-end HTTP tests: real sockets via ThreadingHTTPServer."""
 
+import http.client
 import json
 import threading
 import time
@@ -96,3 +97,72 @@ class TestHttpEndToEnd:
         status, body, _ = _call("GET", f"{base_url}/v1/jobs/zzz")
         assert status == 404
         assert json.loads(body)["error"]["code"] == "not_found"
+
+
+class _RecordingWriter:
+    """Wraps a handler's socket writer and records every ``write``."""
+
+    def __init__(self, inner, writes):
+        self._inner, self._writes = inner, writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestKeepAlive:
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        from repro.service.http import _Handler
+
+        recorded = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = _RecordingWriter(handler.wfile, recorded)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        return recorded
+
+    @staticmethod
+    def _connection(base_url):
+        host, port = base_url.removeprefix("http://").split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=30)
+
+    def test_each_response_is_one_write(self, base_url, writes):
+        conn = self._connection(base_url)
+        try:
+            bodies = []
+            for path in ("/healthz", "/v1/jobs/zzz"):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                bodies.append(response.read())
+        finally:
+            conn.close()
+        assert len(writes) == 2
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 ")
+            assert write.endswith(b"\r\n\r\n" + body)
+
+    def test_two_requests_on_one_connection(self, base_url):
+        conn = self._connection(base_url)
+        try:
+            conn.request(
+                "POST",
+                "/v1/jobs",
+                body=json.dumps(TINY).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            submitted = conn.getresponse()
+            doc = json.loads(submitted.read())
+            assert submitted.status == 201
+            conn.request("GET", f"/v1/jobs/{doc['id']}")
+            polled = conn.getresponse()
+            assert polled.status == 200
+            assert json.loads(polled.read())["id"] == doc["id"]
+        finally:
+            conn.close()

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -786,3 +787,64 @@ class TestFileInputs:
         code, _out, err = _run(capsys, "info", "--setup", str(bad))
         assert code == 2
         assert "error:" in err
+
+
+class TestStartupImports:
+    """What a CLI start pulls in (see docs/performance.md, "Start-up imports")."""
+
+    @staticmethod
+    def _loaded(script, tmp_path):
+        env = dict(os.environ, REPRO_ARTIFACT_CACHE_DIR=str(tmp_path / "artifacts"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_import_repro_loads_no_subsystem(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import repro\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('repro.'))))\n"
+        )
+        assert self._loaded(script, tmp_path) == []
+
+    def test_cli_runs_without_scipy_stats_or_integrate(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            json.dumps(
+                {
+                    "phases": [
+                        {
+                            "name": "burnin",
+                            "duration_hours": 100.0,
+                            "temperature_c": 125.0,
+                        },
+                        {"name": "turbo", "duration_hours": 2000.0, "power_scale": 1.2},
+                        {"name": "field"},
+                    ],
+                    "mechanisms": ["obd", "nbti", "em"],
+                }
+            )
+        )
+        design = "'--design', 'C1', '--grid', '6', '--json'"
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import repro.cli\n"
+            "runs = [\n"
+            "    ['lifetime', '--method', 'st_fast', 'hybrid', 'temp_unaware',"
+            f" 'guard', {design}],\n"
+            f"    ['curve', '--t-min', '1e3', '--t-max', '1e6', {design}],\n"
+            f"    ['scenario', 'run', '--scenario', {str(scenario)!r}, {design}],\n"
+            "]\n"
+            "for argv in runs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert repro.cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.integrate')))))\n"
+        )
+        assert self._loaded(script, tmp_path) == []
