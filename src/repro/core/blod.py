@@ -182,6 +182,80 @@ class BlodModel:
         return self.v_offset + float(np.trace(self.v_matrix))
 
     def u_samples(self, z: np.ndarray) -> np.ndarray:
+        """Evaluate ``u_j`` on factor draws ``z`` (see :class:`BlodSampling`)."""
+        return self.sampling().u_samples(z)
+
+    def v_samples(
+        self,
+        z: np.ndarray,
+        rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """Evaluate ``v_j`` on factor draws ``z`` (see :class:`BlodSampling`)."""
+        return self.sampling().v_samples(z, rng=rng)
+
+    def sampling(self) -> BlodSampling:
+        """The cached sampling record of this block.
+
+        Resolves the nonzero eigenpairs of ``C_j`` once (frozen dataclass:
+        the cache is installed with ``object.__setattr__``).  The
+        in-process cache is backed by a cross-process artifact entry keyed
+        on ``C_j`` itself, so a service worker pays the dense ``eigh`` at
+        most once per distinct block matrix; the stored low-rank pair
+        round-trips bit-exactly.
+        """
+        cached = getattr(self, "_sampling_cache", None)
+        if cached is None:
+            payload = {"v_matrix": self.v_matrix}
+            stored = load_artifact("v_eigensystem", payload)
+            if (
+                stored is not None
+                and "eigvals" in stored
+                and "eigvecs" in stored
+            ):
+                eigvals, eigvecs = stored["eigvals"], stored["eigvecs"]
+            else:
+                eigvals, eigvecs = np.linalg.eigh(self.v_matrix)
+                scale = max(float(np.abs(eigvals).max(initial=0.0)), 1e-300)
+                keep = np.abs(eigvals) > 1e-12 * scale
+                eigvals, eigvecs = eigvals[keep], eigvecs[:, keep]
+                store_artifact(
+                    "v_eigensystem",
+                    payload,
+                    {"eigvals": eigvals, "eigvecs": eigvecs},
+                )
+            cached = BlodSampling(
+                u_nominal=self.u_nominal,
+                u_sensitivities=self.u_sensitivities,
+                eigvals=eigvals,
+                eigvecs=eigvecs,
+                lambda_r_sq=self.sigma_independent**2,
+                n_devices=self.n_devices,
+                v_deterministic=self.v_deterministic,
+            )
+            object.__setattr__(self, "_sampling_cache", cached)
+        return cached
+
+
+@dataclass(frozen=True)
+class BlodSampling:
+    """What sampling ``(u_j, v_j)`` on factor draws reads of one block.
+
+    The dense ``C_j`` is replaced by its nonzero eigenpairs: a block
+    spanning ``r`` grid cells has rank <= r, far below the factor
+    dimension, so the quadratic form costs O(n_samples * k * r) instead
+    of O(n_samples * k^2) — and the record is small enough to ship to a
+    process-pool worker with every st_mc shard task.
+    """
+
+    u_nominal: float
+    u_sensitivities: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    lambda_r_sq: float
+    n_devices: int
+    v_deterministic: float
+
+    def u_samples(self, z: np.ndarray) -> np.ndarray:
         """Evaluate ``u_j`` on factor draws ``z`` of shape ``(n, k)``.
 
         Deterministic given ``z`` (the negligible residual-mean term is
@@ -199,58 +273,21 @@ class BlodModel:
 
         With an ``rng`` the residual sampling factor ``W`` is drawn
         exactly; without one it is fixed at its mean (the paper's usage).
-
-        The quadratic form is evaluated through the (cached) low-rank
-        eigendecomposition of ``C_j``: a block spanning ``r`` grid cells
-        has rank <= r, far below the factor dimension, so this is
-        O(n_samples * k * r) instead of O(n_samples * k^2).
         """
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        eigvals, eigvecs = self._v_eigensystem()
-        if eigvals.size:
-            projections = z @ eigvecs
-            quadratic = (projections**2) @ eigvals
+        if self.eigvals.size:
+            projections = z @ self.eigvecs
+            quadratic = (projections**2) @ self.eigvals
         else:
             quadratic = np.zeros(z.shape[0])
-        lambda_r_sq = self.sigma_independent**2
         if rng is None:
-            residual = np.full(z.shape[0], lambda_r_sq)
+            residual = np.full(z.shape[0], self.lambda_r_sq)
         else:
             dof = self.n_devices - 1
-            residual = lambda_r_sq * rng.chisquare(dof, size=z.shape[0]) / dof
+            residual = (
+                self.lambda_r_sq * rng.chisquare(dof, size=z.shape[0]) / dof
+            )
         return self.v_deterministic + residual + quadratic
-
-    def _v_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached nonzero eigenpairs of ``C_j`` (frozen dataclass: the
-        cache is installed with ``object.__setattr__``).
-
-        The in-process cache is backed by a cross-process artifact entry
-        keyed on ``C_j`` itself, so a service worker pays the dense
-        ``eigh`` at most once per distinct block matrix; the stored
-        low-rank pair round-trips bit-exactly.
-        """
-        cached = getattr(self, "_v_eig_cache", None)
-        if cached is None:
-            payload = {"v_matrix": self.v_matrix}
-            stored = load_artifact("v_eigensystem", payload)
-            if (
-                stored is not None
-                and "eigvals" in stored
-                and "eigvecs" in stored
-            ):
-                cached = (stored["eigvals"], stored["eigvecs"])
-            else:
-                eigvals, eigvecs = np.linalg.eigh(self.v_matrix)
-                scale = max(float(np.abs(eigvals).max(initial=0.0)), 1e-300)
-                keep = np.abs(eigvals) > 1e-12 * scale
-                cached = (eigvals[keep], eigvecs[:, keep])
-                store_artifact(
-                    "v_eigensystem",
-                    payload,
-                    {"eigvals": cached[0], "eigvecs": cached[1]},
-                )
-            object.__setattr__(self, "_v_eig_cache", cached)
-        return cached
 
 
 def characterize_blods(

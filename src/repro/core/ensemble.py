@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.core.blod import BlodModel
+from repro.core.blod import BlodModel, BlodSampling
 from repro.core.closed_form import _EXP_MAX, _EXP_MIN, safe_log_t_ratio
 from repro.errors import ConfigurationError
 from repro.exec.backends import ExecBackend, resolve_backend
@@ -371,24 +371,25 @@ def _draw_factors(
 
 
 def _st_mc_shard_task(
-    blocks: tuple[BlockReliability, ...],
+    records: tuple[BlodSampling, ...],
     include_residual_noise: bool,
     shard: Shard,
 ) -> dict[str, np.ndarray]:
     """One shard of the st_mc (u, v) sample cloud.
 
-    Module-level and pure so process backends can pickle it; the factor
-    draws and per-block residual noise all come from the shard's private
-    stream.
+    Module-level and pure so process backends can pickle it; it carries
+    only the blocks' slim sampling records (never the dense ``C_j``), and
+    the factor draws and per-block residual noise all come from the
+    shard's private stream.
     """
     rng = shard.rng()
-    n_factors = blocks[0].blod.n_factors
+    n_factors = records[0].u_sensitivities.size
     factors = rng.standard_normal((shard.size, n_factors))
     payload: dict[str, np.ndarray] = {}
     noise_rng = rng if include_residual_noise else None
-    for j, block in enumerate(blocks):
-        payload[f"u{j}"] = block.blod.u_samples(factors)
-        payload[f"v{j}"] = block.blod.v_samples(factors, rng=noise_rng)
+    for j, record in enumerate(records):
+        payload[f"u{j}"] = record.u_samples(factors)
+        payload[f"v{j}"] = record.v_samples(factors, rng=noise_rng)
     return payload
 
 
@@ -464,27 +465,26 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
             factors=n_factors,
             sampler=sampler,
         ):
+            records = tuple(block.blod.sampling() for block in self.blocks)
             if sampler == "mc":
                 self._sample_sharded(
-                    n_samples, seed, rng, include_residual_noise,
+                    records, n_samples, seed, rng, include_residual_noise,
                     backend, shard_size,
                 )
             else:
                 if rng is None:
                     rng = np.random.default_rng(seed)
                 factors = _draw_factors(sampler, n_samples, n_factors, rng)
-                self._u_samples = [
-                    b.blod.u_samples(factors) for b in self.blocks
-                ]
+                self._u_samples = [r.u_samples(factors) for r in records]
                 noise_rng = rng if include_residual_noise else None
                 self._v_samples = [
-                    b.blod.v_samples(factors, rng=noise_rng)
-                    for b in self.blocks
+                    r.v_samples(factors, rng=noise_rng) for r in records
                 ]
             metrics.inc("st_mc.factor_draws", n_samples)
 
     def _sample_sharded(
         self,
+        records: tuple[BlodSampling, ...],
         n_samples: int,
         seed: int | None,
         rng: np.random.Generator | None,
@@ -494,9 +494,12 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
     ) -> None:
         """Draw the (u, v) sample clouds in deterministic seed shards.
 
-        Shards are submitted to the execution backend and concatenated in
-        shard-index order, so the cloud is bit-identical for any backend
-        and worker count (given the same seed and ``shard_size``).
+        Shards are concatenated in shard-index order, so the cloud is
+        bit-identical for any backend and worker count (given the same
+        seed and ``shard_size``).  They are submitted as one task group
+        per worker: every task ships the same sampling records, so fewer,
+        larger groups pickle them fewer times, and grouping never changes
+        results.
         """
         if rng is not None:
             root = resolve_seed_sequence(rng)
@@ -508,22 +511,21 @@ class StMcAnalyzer(_EnsembleAnalyzerBase):
         exec_backend = backend if backend is not None else resolve_backend()
         payloads = run_sharded(
             exec_backend,
-            partial(
-                _st_mc_shard_task, tuple(self.blocks), include_residual_noise
-            ),
+            partial(_st_mc_shard_task, records, include_residual_noise),
             shards,
+            shards_per_task=-(-len(shards) // exec_backend.jobs),
         )
         self._u_samples = [
             np.concatenate(
                 [payloads[s.index][f"u{j}"] for s in shards]
             )
-            for j in range(len(self.blocks))
+            for j in range(len(records))
         ]
         self._v_samples = [
             np.concatenate(
                 [payloads[s.index][f"v{j}"] for s in shards]
             )
-            for j in range(len(self.blocks))
+            for j in range(len(records))
         ]
 
     def block_moment_samples(self, index: int) -> tuple[np.ndarray, np.ndarray]:

@@ -37,8 +37,10 @@ shard tasks are submitted to a serial/thread/process backend.  Per-shard
 partial results are reduced in shard-index order, so for a given seed the
 curves are **bit-identical** across backends, worker counts and
 ``chunk_size`` settings (``shard_size``, by contrast, is part of the
-stream definition).  Long runs can pass ``checkpoint_path`` to persist
-per-shard state atomically and resume after a kill to the same curve.
+stream definition).  The per-chip math lives on :class:`ChipKernel`, the
+only engine state a shard task ships to a worker.  Long runs can pass
+``checkpoint_path`` to persist per-shard state atomically and resume
+after a kill to the same curve.
 """
 
 from __future__ import annotations
@@ -122,6 +124,153 @@ class ReliabilityCurve:
         return 1.0 - self.reliability
 
 
+#: Per-block inputs of the chip kernel: ``(alpha, b, area, n_devices)``.
+BlockWeibull = tuple[float, float, float, int]
+
+
+@dataclass(frozen=True)
+class ChipKernel:
+    """The sample-chip math, holding only what a shard task reads.
+
+    A shard task ships this kernel to its worker: the chip sampler plus
+    each block's Weibull scale and slope, oxide area and device count —
+    never the BLOD models (their dense ``C_j`` matrices) or the engine.
+    """
+
+    sampler: ChipSampler
+    blocks: tuple[BlockWeibull, ...]
+    binning: ResidualBinning
+    device_mode: str
+
+    def exponents(
+        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``(n_chips, n_times)`` Weibull exponent sums for a chip batch."""
+        if self.device_mode == "binned":
+            return self._exponents_binned(times, n_chips, rng)
+        return self._exponents_exact(times, n_chips, rng)
+
+    def failure_times(
+        self, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Weakest-link failure times for a chip batch."""
+        if self.device_mode == "binned":
+            return self._failure_times_binned(n_chips, rng)
+        return self._failure_times_exact(n_chips, rng)
+
+    def _exponents_binned(
+        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        z = self.sampler.sample_factors(n_chips, rng)
+        bases = self.sampler.block_base_thickness(z)
+        centers = self.binning.centers
+        probs = self.binning.probabilities
+        sigma_r = self.sampler.model.sigma_independent
+        exponents = np.zeros((n_chips, times.size))
+        with np.errstate(divide="ignore"):
+            log_times = np.where(times > 0.0, np.log(times), -np.inf)
+        for j, (alpha, b, area, n_devices) in enumerate(self.blocks):
+            log_t_ratio = log_times - np.log(alpha)
+            scaled = b * log_t_ratio  # (nt,)
+            finite = np.isfinite(scaled)
+            scaled_safe = np.where(finite, scaled, 0.0)
+            # Residual weight matrix shared by every cell of the block.
+            w = np.exp(
+                np.clip(
+                    np.outer(centers * sigma_r, scaled_safe), -_EXP_CLIP, _EXP_CLIP
+                )
+            )  # (n_bins, nt)
+            assignment = self.sampler.assignments[j]
+            a_avg = area / n_devices
+            block_bases = bases[j]  # (n_chips, n_cells)
+            cell_sums = np.zeros((n_chips, times.size))
+            for c, m_cell in enumerate(assignment.device_counts):
+                counts = rng.multinomial(int(m_cell), probs, size=n_chips)
+                residual_sum = counts @ w  # (n_chips, nt)
+                base_factor = np.exp(
+                    np.clip(
+                        np.outer(block_bases[:, c], scaled_safe),
+                        -_EXP_CLIP,
+                        _EXP_CLIP,
+                    )
+                )
+                cell_sums += base_factor * residual_sum
+            contribution = a_avg * cell_sums
+            contribution[:, ~finite] = 0.0
+            exponents += contribution
+        return exponents
+
+    def _exponents_exact(
+        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        z = self.sampler.sample_factors(n_chips, rng)
+        exponents = np.zeros((n_chips, times.size))
+        with np.errstate(divide="ignore"):
+            log_times = np.where(times > 0.0, np.log(times), -np.inf)
+        for c in range(n_chips):
+            for j, (alpha, b, area, n_devices) in enumerate(self.blocks):
+                thickness = self.sampler.device_thicknesses(z[c], j, rng)
+                log_t_ratio = log_times - np.log(alpha)
+                scaled = b * log_t_ratio
+                finite = np.isfinite(scaled)
+                scaled_safe = np.where(finite, scaled, 0.0)
+                a_avg = area / n_devices
+                arg = np.clip(
+                    np.outer(thickness, scaled_safe), -_EXP_CLIP, _EXP_CLIP
+                )
+                contribution = a_avg * np.exp(arg).sum(axis=0)
+                contribution[~finite] = 0.0
+                exponents[c] += contribution
+        return exponents
+
+    def _failure_times_binned(
+        self, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        z = self.sampler.sample_factors(n_chips, rng)
+        bases = self.sampler.block_base_thickness(z)
+        centers = self.binning.centers
+        probs = self.binning.probabilities
+        sigma_r = self.sampler.model.sigma_independent
+        chip_min = np.full(n_chips, np.inf)
+        for j, (alpha, b, area, n_devices) in enumerate(self.blocks):
+            assignment = self.sampler.assignments[j]
+            a_avg = area / n_devices
+            block_bases = bases[j]  # (n_chips, n_cells)
+            for c, m_cell in enumerate(assignment.device_counts):
+                counts = rng.multinomial(int(m_cell), probs, size=n_chips)
+                thickness = (
+                    block_bases[:, c : c + 1] + sigma_r * centers[None, :]
+                )  # (n_chips, n_bins)
+                beta = b * np.clip(thickness, 1e-3, None)
+                # Weakest link within a bin: min of k iid Weibulls is a
+                # Weibull with k-fold area.
+                exponential = rng.exponential(size=(n_chips, counts.shape[1]))
+                with np.errstate(divide="ignore"):
+                    log_t = (
+                        np.log(exponential) - np.log(counts * a_avg)
+                    ) / beta + np.log(alpha)
+                log_t = np.where(counts > 0, log_t, np.inf)
+                chip_min = np.minimum(chip_min, log_t.min(axis=1))
+        return np.exp(chip_min)
+
+    def _failure_times_exact(
+        self, n_chips: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        z = self.sampler.sample_factors(n_chips, rng)
+        chip_min = np.full(n_chips, np.inf)
+        for c in range(n_chips):
+            for j, (alpha, b, area, n_devices) in enumerate(self.blocks):
+                thickness = self.sampler.device_thicknesses(z[c], j, rng)
+                beta = b * np.clip(thickness, 1e-3, None)
+                a_avg = area / n_devices
+                exponential = rng.exponential(size=thickness.size)
+                log_t = (
+                    np.log(exponential) - np.log(a_avg)
+                ) / beta + np.log(alpha)
+                chip_min[c] = min(chip_min[c], float(log_t.min()))
+        return np.exp(chip_min)
+
+
 class MonteCarloEngine:
     """Sample-chip Monte-Carlo reference for a prepared design.
 
@@ -182,6 +331,15 @@ class MonteCarloEngine:
         self.chunk_size = chunk_size
         self.shard_size = shard_size
         self.backend = backend if backend is not None else resolve_backend()
+        self.kernel = ChipKernel(
+            sampler=sampler,
+            blocks=tuple(
+                (block.alpha, block.b, block.blod.area, block.blod.n_devices)
+                for block in self.blocks
+            ),
+            binning=self.binning,
+            device_mode=device_mode,
+        )
 
     @property
     def _shards_per_task(self) -> int:
@@ -336,7 +494,7 @@ class MonteCarloEngine:
         )
         payloads = run_sharded(
             self.backend,
-            partial(_curve_shard_task, self, times),
+            partial(_curve_shard_task, self.kernel, times),
             shards,
             shards_per_task=self._shards_per_task,
             checkpoint=checkpoint,
@@ -347,79 +505,6 @@ class MonteCarloEngine:
         # A checkpoint may have restored indices beyond the requested
         # subset; hand back exactly what was asked for.
         return {shard.index: payloads[shard.index] for shard in shards}
-
-    def _chunk_exponents(
-        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """``(n_chips, n_times)`` Weibull exponent sums for a chip batch."""
-        if self.device_mode == "binned":
-            return self._chunk_exponents_binned(times, n_chips, rng)
-        return self._chunk_exponents_exact(times, n_chips, rng)
-
-    def _chunk_exponents_binned(
-        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        z = self.sampler.sample_factors(n_chips, rng)
-        bases = self.sampler.block_base_thickness(z)
-        centers = self.binning.centers
-        probs = self.binning.probabilities
-        sigma_r = self.sampler.model.sigma_independent
-        exponents = np.zeros((n_chips, times.size))
-        with np.errstate(divide="ignore"):
-            log_times = np.where(times > 0.0, np.log(times), -np.inf)
-        for j, block in enumerate(self.blocks):
-            log_t_ratio = log_times - np.log(block.alpha)
-            scaled = block.b * log_t_ratio  # (nt,)
-            finite = np.isfinite(scaled)
-            scaled_safe = np.where(finite, scaled, 0.0)
-            # Residual weight matrix shared by every cell of the block.
-            w = np.exp(
-                np.clip(
-                    np.outer(centers * sigma_r, scaled_safe), -_EXP_CLIP, _EXP_CLIP
-                )
-            )  # (n_bins, nt)
-            assignment = self.sampler.assignments[j]
-            a_avg = block.blod.area / block.blod.n_devices
-            block_bases = bases[j]  # (n_chips, n_cells)
-            cell_sums = np.zeros((n_chips, times.size))
-            for c, m_cell in enumerate(assignment.device_counts):
-                counts = rng.multinomial(int(m_cell), probs, size=n_chips)
-                residual_sum = counts @ w  # (n_chips, nt)
-                base_factor = np.exp(
-                    np.clip(
-                        np.outer(block_bases[:, c], scaled_safe),
-                        -_EXP_CLIP,
-                        _EXP_CLIP,
-                    )
-                )
-                cell_sums += base_factor * residual_sum
-            contribution = a_avg * cell_sums
-            contribution[:, ~finite] = 0.0
-            exponents += contribution
-        return exponents
-
-    def _chunk_exponents_exact(
-        self, times: np.ndarray, n_chips: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        z = self.sampler.sample_factors(n_chips, rng)
-        exponents = np.zeros((n_chips, times.size))
-        with np.errstate(divide="ignore"):
-            log_times = np.where(times > 0.0, np.log(times), -np.inf)
-        for c in range(n_chips):
-            for j, block in enumerate(self.blocks):
-                thickness = self.sampler.device_thicknesses(z[c], j, rng)
-                log_t_ratio = log_times - np.log(block.alpha)
-                scaled = block.b * log_t_ratio
-                finite = np.isfinite(scaled)
-                scaled_safe = np.where(finite, scaled, 0.0)
-                a_avg = block.blod.area / block.blod.n_devices
-                arg = np.clip(
-                    np.outer(thickness, scaled_safe), -_EXP_CLIP, _EXP_CLIP
-                )
-                contribution = a_avg * np.exp(arg).sum(axis=0)
-                contribution[~finite] = 0.0
-                exponents[c] += contribution
-        return exponents
 
     # ------------------------------------------------------------------
     # Failure-time MC (Fig. 10 reference)
@@ -460,7 +545,7 @@ class MonteCarloEngine:
         ):
             payloads = run_sharded(
                 self.backend,
-                partial(_failure_shard_task, self),
+                partial(_failure_shard_task, self.kernel),
                 shards,
                 shards_per_task=self._shards_per_task,
                 checkpoint=checkpoint,
@@ -471,53 +556,6 @@ class MonteCarloEngine:
         if checkpoint is not None:
             checkpoint.clear()
         return out
-
-    def _chunk_failure_times_binned(
-        self, n_chips: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        z = self.sampler.sample_factors(n_chips, rng)
-        bases = self.sampler.block_base_thickness(z)
-        centers = self.binning.centers
-        probs = self.binning.probabilities
-        sigma_r = self.sampler.model.sigma_independent
-        chip_min = np.full(n_chips, np.inf)
-        for j, block in enumerate(self.blocks):
-            assignment = self.sampler.assignments[j]
-            a_avg = block.blod.area / block.blod.n_devices
-            block_bases = bases[j]  # (n_chips, n_cells)
-            for c, m_cell in enumerate(assignment.device_counts):
-                counts = rng.multinomial(int(m_cell), probs, size=n_chips)
-                thickness = (
-                    block_bases[:, c : c + 1] + sigma_r * centers[None, :]
-                )  # (n_chips, n_bins)
-                beta = block.b * np.clip(thickness, 1e-3, None)
-                # Weakest link within a bin: min of k iid Weibulls is a
-                # Weibull with k-fold area.
-                exponential = rng.exponential(size=(n_chips, counts.shape[1]))
-                with np.errstate(divide="ignore"):
-                    log_t = (
-                        np.log(exponential) - np.log(counts * a_avg)
-                    ) / beta + np.log(block.alpha)
-                log_t = np.where(counts > 0, log_t, np.inf)
-                chip_min = np.minimum(chip_min, log_t.min(axis=1))
-        return np.exp(chip_min)
-
-    def _chunk_failure_times_exact(
-        self, n_chips: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        z = self.sampler.sample_factors(n_chips, rng)
-        chip_min = np.full(n_chips, np.inf)
-        for c in range(n_chips):
-            for j, block in enumerate(self.blocks):
-                thickness = self.sampler.device_thicknesses(z[c], j, rng)
-                beta = block.b * np.clip(thickness, 1e-3, None)
-                a_avg = block.blod.area / block.blod.n_devices
-                exponential = rng.exponential(size=thickness.size)
-                log_t = (
-                    np.log(exponential) - np.log(a_avg)
-                ) / beta + np.log(block.alpha)
-                chip_min[c] = min(chip_min[c], float(log_t.min()))
-        return np.exp(chip_min)
 
 
 # ----------------------------------------------------------------------
@@ -591,11 +629,11 @@ def reduce_curve_payloads(
 
 
 def _curve_shard_task(
-    engine: MonteCarloEngine, times: np.ndarray, shard: Shard
+    kernel: ChipKernel, times: np.ndarray, shard: Shard
 ) -> dict[str, np.ndarray]:
     """Partial survival sums for one shard of sample chips."""
     rng = shard.rng()
-    exponents = engine._chunk_exponents(times, shard.size, rng)
+    exponents = kernel.exponents(times, shard.size, rng)
     finite_rows = np.isfinite(exponents).all(axis=1)
     n_bad = shard.size - int(finite_rows.sum())
     if n_bad:
@@ -610,12 +648,7 @@ def _curve_shard_task(
 
 
 def _failure_shard_task(
-    engine: MonteCarloEngine, shard: Shard
+    kernel: ChipKernel, shard: Shard
 ) -> dict[str, np.ndarray]:
     """Weakest-link failure times for one shard of sample chips."""
-    rng = shard.rng()
-    if engine.device_mode == "binned":
-        failure = engine._chunk_failure_times_binned(shard.size, rng)
-    else:
-        failure = engine._chunk_failure_times_exact(shard.size, rng)
-    return {"times": failure}
+    return {"times": kernel.failure_times(shard.size, shard.rng())}

@@ -153,17 +153,6 @@ class _PoolBackend(ExecBackend):
             self._finalizer = None
         self._pool = None
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Engines that carry their backend must stay picklable for the
-        # process pool; the live pool (thread locks) never crosses —
-        # workers receive an unpooled copy they are not meant to use.
-        return {"jobs": self.jobs}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.jobs = state["jobs"]
-        self._pool = None
-        self._finalizer = None
-
 
 def _shutdown_pool(pool: Executor) -> None:
     pool.shutdown(wait=True, cancel_futures=True)

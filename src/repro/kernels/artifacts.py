@@ -3,11 +3,12 @@
 A busy ``repro serve`` / ``repro fleet`` deployment rebuilds the same
 derived artifacts on every request over a given design: the canonical
 PCA thickness model (one dense ``eigh`` of the grid covariance), the
-BLOD characterisation (per-block quadratic forms, plus their lazy
-``_v_eigensystem`` eigendecompositions), and the batched hybrid lookup
-tables.  None of those depend on the request's times or ppm target —
-only on the design, the analysis configuration and the code version —
-so they are perfect content-addressed cache entries.
+BLOD characterisation (per-block quadratic forms, plus the lazy
+``v_eigensystem`` eigendecompositions behind ``BlodModel.sampling``),
+and the batched hybrid lookup tables.  None of those depend on the
+request's times or ppm target — only on the design, the analysis
+configuration and the code version — so they are perfect
+content-addressed cache entries.
 
 :class:`ArtifactCache` is a thin :class:`~repro.exec.cache.ResultCache`
 subclass: same two-level ``.npz`` layout, atomic tempfile+rename writes,

@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.core.montecarlo import (
+    ChipKernel,
     MonteCarloEngine,
     ResidualBinning,
 )
@@ -151,7 +152,7 @@ class TestNonFiniteRecovery:
     @staticmethod
     def _poison_first_chunk(monkeypatch, engine, bad_rows):
         """Make the first chunk's first ``len(bad_rows)`` chips non-finite."""
-        original = MonteCarloEngine._chunk_exponents
+        original = ChipKernel.exponents
         state = {"first": True}
 
         def poisoned(self, times, n_chips, rng):
@@ -162,7 +163,7 @@ class TestNonFiniteRecovery:
                     exponents[row, 0] = value
             return exponents
 
-        monkeypatch.setattr(MonteCarloEngine, "_chunk_exponents", poisoned)
+        monkeypatch.setattr(ChipKernel, "exponents", poisoned)
 
     def test_partial_curve_from_valid_chips(
         self, engine, times, rng, monkeypatch, caplog
@@ -195,8 +196,8 @@ class TestNonFiniteRecovery:
 
     def test_all_invalid_raises(self, engine, times, rng, monkeypatch):
         monkeypatch.setattr(
-            MonteCarloEngine,
-            "_chunk_exponents",
+            ChipKernel,
+            "exponents",
             lambda self, t, n, r: np.full((n, np.size(t)), np.nan),
         )
         with pytest.raises(NumericalError, match="non-finite"):
@@ -305,24 +306,26 @@ class TestDeterminism:
 class TestCheckpointResume:
     """A killed run resumed from its checkpoint matches an unbroken one."""
 
-    def test_killed_curve_resumes_bit_identical(self, engine, times, tmp_path):
+    def test_killed_curve_resumes_bit_identical(
+        self, engine, times, tmp_path, monkeypatch
+    ):
         path = tmp_path / "mc.ckpt.npz"
         baseline = _variant(engine, chunk_size=16, shard_size=16).reliability_curve(
             times, 96, 5
         )
 
         broken = _variant(engine, chunk_size=16, shard_size=16)
-        real = broken._chunk_exponents
+        real = ChipKernel.exponents
         calls = {"n": 0}
 
-        def dying(chunk_times, n_chips, rng):
+        def dying(kernel, chunk_times, n_chips, rng):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise KeyboardInterrupt
-            return real(chunk_times, n_chips, rng)
+            return real(kernel, chunk_times, n_chips, rng)
 
-        broken._chunk_exponents = dying
-        with pytest.raises(KeyboardInterrupt):
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(ChipKernel, "exponents", dying)
             broken.reliability_curve(
                 times, 96, 5, checkpoint_path=path, checkpoint_every=1
             )
@@ -338,22 +341,24 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(resumed.std_error, baseline.std_error)
         assert not path.exists()  # cleared once the run completes
 
-    def test_killed_failure_times_resume_bit_identical(self, engine, tmp_path):
+    def test_killed_failure_times_resume_bit_identical(
+        self, engine, tmp_path, monkeypatch
+    ):
         path = tmp_path / "ft.ckpt.npz"
         baseline = _variant(engine, chunk_size=16, shard_size=16).failure_times(80, 21)
 
         broken = _variant(engine, chunk_size=16, shard_size=16)
-        real = broken._chunk_failure_times_binned
+        real = ChipKernel.failure_times
         calls = {"n": 0}
 
-        def dying(n_chips, rng):
+        def dying(kernel, n_chips, rng):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise KeyboardInterrupt
-            return real(n_chips, rng)
+            return real(kernel, n_chips, rng)
 
-        broken._chunk_failure_times_binned = dying
-        with pytest.raises(KeyboardInterrupt):
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(ChipKernel, "failure_times", dying)
             broken.failure_times(
                 80, 21, checkpoint_path=path, checkpoint_every=1
             )
@@ -364,21 +369,23 @@ class TestCheckpointResume:
         )
         np.testing.assert_array_equal(resumed, baseline)
 
-    def test_stale_checkpoint_rejected_on_seed_change(self, engine, tmp_path):
+    def test_stale_checkpoint_rejected_on_seed_change(
+        self, engine, tmp_path, monkeypatch
+    ):
         """A checkpoint for one seed must not resurrect into another run."""
         path = tmp_path / "stale.ckpt.npz"
         broken = _variant(engine, chunk_size=16, shard_size=16)
-        real = broken._chunk_failure_times_binned
+        real = ChipKernel.failure_times
         calls = {"n": 0}
 
-        def dying(n_chips, rng):
+        def dying(kernel, n_chips, rng):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise KeyboardInterrupt
-            return real(n_chips, rng)
+            return real(kernel, n_chips, rng)
 
-        broken._chunk_failure_times_binned = dying
-        with pytest.raises(KeyboardInterrupt):
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(ChipKernel, "failure_times", dying)
             broken.failure_times(
                 80, 21, checkpoint_path=path, checkpoint_every=1
             )

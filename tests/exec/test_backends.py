@@ -1,7 +1,5 @@
 """Unit tests for the execution backends and their selection logic."""
 
-import pickle
-
 import pytest
 
 from repro import obs
@@ -72,16 +70,6 @@ class TestPoolBackends:
                 backend.map(lambda x: 1 // x, [1, 0, 2])
         finally:
             backend.close()
-
-    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
-    def test_picklable_without_live_pool(self, cls):
-        backend = cls(3)
-        if cls is ThreadBackend:
-            backend.map(_square, [1, 2])  # materialise the pool
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone.jobs == 3
-        assert clone._pool is None
-        backend.close()
 
     @pytest.mark.parametrize("bad", [0, -1, True, 1.5])
     def test_rejects_bad_jobs(self, bad):
